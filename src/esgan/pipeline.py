@@ -11,6 +11,7 @@ kl_cmd, towers_cmd) hold the orchestration logic; the CLI in ``cli`` is a
 thin argument-parsing shell around them.
 """
 
+import bisect
 import os
 import sys
 import warnings
@@ -152,9 +153,13 @@ def _fractions_str(filling):
     return " ".join(f"{f.numerator}/{f.denominator}" for f in filling)
 
 
+def _control(record):
+    return record.control_value
+
+
 def write_dataset(path, ds):
     """Atomic write: header block, then records sorted by control value."""
-    records = sorted(ds.records, key=lambda r: r.control_value)
+    records = sorted(ds.records, key=_control)
     seen = set()
     for r in records:
         if r.control_value in seen:
@@ -188,41 +193,76 @@ def write_dataset(path, ds):
     os.replace(tmp, path)
 
 
+_HEADER_FIELDS = {
+    "format_version": int,
+    "model_id": str,
+    "L": int,
+    "filling": lambda v: tuple(Fraction(tok) for tok in v.split()),
+    "bipartition": int,
+    "chi_max": int,
+    "svd_cutoff": float.fromhex,
+    "boundary": str,
+    "seed": int,
+    "n_records": int,
+}
+
+
 def read_dataset(path):
+    """Parse a dataset file; malformed input raises ValueError naming
+    ``path:line``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"# {DATASET_MAGIC}":
         raise ValueError(f"{path} is not a spectrum dataset")
+
+    def parse(n, convert, text, what):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}:{n + 1}: bad {what} {text!r}") from exc
+
+    def field(n, name, convert):
+        if n >= len(lines):
+            raise ValueError(f"{path}:{len(lines)}: file ends inside a record")
+        key, _, val = lines[n].partition(" ")
+        if key != name:
+            raise ValueError(f"{path}:{n + 1}: expected {name}, found {lines[n]!r}")
+        return parse(n, convert, val, name)
+
     head = {}
     i = 1
     while i < len(lines) and lines[i] != "[record]":
         key, _, val = lines[i].partition(" ")
-        head[key] = val
+        if key in _HEADER_FIELDS:
+            head[key] = parse(i, _HEADER_FIELDS[key], val, key)
         i += 1
-    filling = tuple(Fraction(tok) for tok in head["filling"].split())
-    ds = SpectrumDataset(
-        model_id=head["model_id"],
-        L=int(head["L"]),
-        filling=filling,
-        bipartition=int(head["bipartition"]),
-        chi_max=int(head["chi_max"]),
-        svd_cutoff=float.fromhex(head["svd_cutoff"]),
-        boundary=head["boundary"],
-        seed=int(head["seed"]),
-        format_version=int(head["format_version"]),
-    )
+    missing = [key for key in _HEADER_FIELDS if key not in head]
+    if missing:
+        raise ValueError(f"{path}:{i}: header lacks {', '.join(missing)}")
+    n_records = head.pop("n_records")
+    ds = SpectrumDataset(**head)
+    n_fields = len(ds.filling) + 3
     while i < len(lines):
-        assert lines[i] == "[record]"
-        control = float.fromhex(lines[i + 1].split()[1])
-        trunc = float.fromhex(lines[i + 2].split()[1])
-        n_entries = int(lines[i + 3].split()[1])
+        if lines[i] != "[record]":
+            raise ValueError(f"{path}:{i + 1}: expected [record], found {lines[i]!r}")
+        control = field(i + 1, "control", float.fromhex)
+        trunc = field(i + 2, "truncation_error", float.fromhex)
+        n_entries = field(i + 3, "n_entries", int)
+        if i + 4 + n_entries > len(lines):
+            raise ValueError(f"{path}:{len(lines)}: file ends inside a record")
         p, charges = [], []
-        for j in range(n_entries):
-            parts = lines[i + 4 + j].split()
-            charges.append(tuple(int(c) for c in parts[1:-2]))
-            p.append(float.fromhex(parts[-1]))
-        ds.records.append(
-            make_labeled_spectrum(
+        for n in range(i + 4, i + 4 + n_entries):
+            parts = lines[n].split()  # entry <charges> <k> <p>
+            try:
+                if parts[0] != "entry" or len(parts) != n_fields:
+                    raise ValueError
+                int(parts[-2])
+                p.append(float.fromhex(parts[-1]))
+                charges.append(tuple(int(c) for c in parts[1:-2]))
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}:{n + 1}: bad entry {lines[n]!r}") from None
+        try:
+            record = make_labeled_spectrum(
                 p,
                 charges,
                 model_id=ds.model_id,
@@ -232,8 +272,15 @@ def read_dataset(path):
                 control_value=control,
                 truncation_error=trunc,
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 1}: {exc}") from exc
+        ds.records.append(record)
         i += 4 + n_entries
+    if len(ds.records) != n_records:
+        raise ValueError(
+            f"{path}:{len(lines)}: header promises {n_records} records, "
+            f"file holds {len(ds.records)}"
+        )
     return ds
 
 
@@ -254,7 +301,9 @@ def generate(cfg, threads=1, log=None):
     skipped; a point whose solver run raises is logged and skipped, and
     the sweep continues.  The file on disk is rewritten atomically after
     every completed point, so interrupting and rerunning loses at most
-    the point in flight.
+    the point in flight.  The returned dataset keeps its records sorted
+    by control value, as the file does, and equals what reading the file
+    back gives.
     """
     log = log if log is not None else sys.stderr
     path = cfg.out_path
@@ -296,27 +345,15 @@ def generate(cfg, threads=1, log=None):
             return control, None, exc
 
     failures = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(solve, todo)
-            for control, rec, exc in results:
-                if exc is not None:
-                    failures += 1
-                    print(f"[generate] {control:g} failed: {exc}", file=log)
-                    continue
-                ds.records.append(rec)
-                write_dataset(path, ds)
-                ds = read_dataset(path)
-    else:
-        for control in todo:
-            control, rec, exc = solve(control)
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        results = pool.map(solve, todo) if threads > 1 else map(solve, todo)
+        for control, rec, exc in results:
             if exc is not None:
                 failures += 1
                 print(f"[generate] {control:g} failed: {exc}", file=log)
                 continue
-            ds.records.append(rec)
+            bisect.insort(ds.records, rec, key=_control)
             write_dataset(path, ds)
-            ds = read_dataset(path)
     if failures == len(todo):
         raise SolverError(f"all {failures} grid points failed")
     return ds, path

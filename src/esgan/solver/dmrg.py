@@ -4,9 +4,25 @@ The Hamiltonian is encoded as a finite-state-machine MPO: virtual state 0
 means nothing placed yet, the last state means the term is complete, and
 one in-flight state per two-site term lives on the bond it straddles
 (bond dimension 5 for the spin chain, 4 for single-species bosons, 6 for
-two species).  Sweeps optimize two adjacent sites at a time with the
-restarted Lanczos solver, split the optimized block by a charge-resolved
-SVD, and truncate to chi_max, never splitting a degenerate multiplet.
+two species).  Each MPO state carries a charge: 0 for the first and last
+state, the charge of the pending operator for an in-flight one.  Sweeps
+optimize two adjacent sites at a time with the restarted Lanczos solver,
+split the optimized block by a charge-resolved SVD, and truncate to
+chi_max, never splitting a degenerate multiplet.
+
+The local eigenproblem works on charge blocks only.  The two-site block
+theta[a, s1, s2, b] is a matrix with rows (a, s1), of charge
+qL[a] + q[s1], and columns (s2, b), of charge qR[b] - q[s2]; an entry is
+allowed only where the two agree, so the matrix is block diagonal in this
+middle charge (TwoSiteBlocks).  The Lanczos vector holds the blocks,
+row-major, in ascending charge order, and nothing else.  H_eff acts as
+sum_v LW_v . Theta . RW_v^T, with LW_v the left environment contracted
+with the left MPO tensor and RW_v the right MPO tensor contracted with the
+right environment, v running over the MPO states of the middle bond.
+State v shifts the middle charge by its own charge, so H_eff maps block q
+to the blocks q + delta_v only, and only those pieces of LW_v and RW_v
+are gathered (TwoSiteHeff).  Site tensors and environments stay dense
+arrays with charge labels (see mps.py).
 
 The search starts from a product state in the target sector; the first
 ``warmup_sweeps`` sweeps run at a reduced bond dimension and add a small
@@ -21,12 +37,7 @@ import numpy as np
 
 from ..models import expanded_terms
 from .lanczos import lowest_eigenpair
-from .mps import (
-    allowed_mask_two_site,
-    blockwise_svd,
-    mps_norm,
-    product_mps,
-)
+from .mps import mps_norm, product_mps
 
 
 @dataclass(frozen=True)
@@ -112,13 +123,238 @@ def expectation_value(mps, mpo):
     return float(E[0, 0, 0]) / nrm**2
 
 
-def _apply_h_eff(theta, EL, W1, W2, ER, mask):
-    X = np.tensordot(EL, theta, axes=([2], [0]))  # (a, w, s1, s2, br)
-    X = np.tensordot(X, W1, axes=([1, 2], [0, 2]))  # (a, s2, br, s1', v)
-    X = np.tensordot(X, W2, axes=([4, 1], [0, 2]))  # (a, br, s1', s2', u)
-    X = np.tensordot(X, ER, axes=([1, 4], [2, 1]))  # (a, s1', s2', ar)
-    X *= mask
-    return X
+# one int64 per charge vector: linear, and ordered like the charge tuples
+_KEY_BASE = np.array([1 << 40, 1 << 20, 1], dtype=np.int64)
+
+
+def charge_keys(q):
+    """Integer key of each row of an (n, n_charges) charge array.
+
+    The key is linear, key(q + delta) = key(q) + key(delta), and sorts like
+    the charge tuples, for up to three charges of magnitude below 2**19.
+    """
+    q = np.asarray(q, dtype=np.int64)
+    return q @ _KEY_BASE[_KEY_BASE.size - q.shape[1]:]
+
+
+def mpo_charges(mpo, qsite):
+    """Charge of every MPO state, one (D_b, n_charges) array per MPO bond.
+
+    W[w, s_out, s_in, v] may be nonzero only where
+    c_b[w] + q[s_out] - q[s_in] == c_{b+1}[v].  The charges follow from
+    the nonzero pattern, left to right from the charge-0 boundary state;
+    a state no nonzero entry reaches keeps charge 0.
+    """
+    charges = [np.zeros((1, qsite.shape[1]), dtype=np.int64)]
+    reached = np.ones(1, dtype=bool)
+    for W in mpo:
+        w, s_out, s_in, v = np.nonzero(W)
+        live = reached[w]
+        w, s_out, s_in, v = w[live], s_out[live], s_in[live], v[live]
+        step = charges[-1][w] + qsite[s_out] - qsite[s_in]
+        c = np.zeros((W.shape[3], qsite.shape[1]), dtype=np.int64)
+        c[v] = step
+        if not np.array_equal(c[v], step):
+            raise ValueError("MPO does not conserve the charges")
+        charges.append(c)
+        reached = np.zeros(W.shape[3], dtype=bool)
+        reached[v] = True
+    return charges
+
+
+def bond_channels(W1, W2, c):
+    """MPO states of the bond between W1 and W2, sorted by charge.
+
+    Returns (W1', W2', keys): the two tensors restricted to the states
+    both reach, ordered by ascending charge key (then state), and those
+    keys.
+    """
+    live = np.flatnonzero(np.any(W1, axis=(0, 1, 2)) & np.any(W2, axis=(1, 2, 3)))
+    keys = charge_keys(c[live])
+    order = np.argsort(keys, kind="stable")
+    live = live[order]
+    return W1[..., live], W2[live], keys[order]
+
+
+def _first_of_runs(a):
+    """Start of every run of equal values in ``a``."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+class TwoSiteBlocks:
+    """Charge-block layout of a two-site block theta[a, s1, s2, b].
+
+    As a matrix, rows (a, s1) carry qL[a] + q[s1] and columns (s2, b)
+    carry qR[b] - q[s2].  Sorting rows and columns by charge key
+    (``row_order``, ``col_order``, stable) makes the allowed entries
+    diagonal blocks: block n, of middle charge ``charges[n]``, holds the
+    sorted rows ``row_lo[n]:row_hi[n]`` and columns ``col_lo[n]:col_hi[n]``.
+    A block vector holds the blocks row-major, one after the other in
+    ascending charge, from ``offsets[n]`` to ``offsets[n + 1]``.
+    """
+
+    def __init__(self, qL, qsite, qR):
+        l, d, r = qL.shape[0], qsite.shape[0], qR.shape[0]
+        self.shape = (l, d, d, r)
+        self.qL, self.qR = qL.copy(), qR.copy()
+        ks = charge_keys(qsite)
+        row_key = (charge_keys(qL)[:, None] + ks).ravel()
+        col_key = (charge_keys(qR) - ks[:, None]).ravel()
+        self.row_order = np.argsort(row_key, kind="stable")
+        self.col_order = np.argsort(col_key, kind="stable")
+        self.row_key = row_key[self.row_order]
+        self.col_key = col_key[self.col_order]
+        # allowed entries of the sorted matrix, row-major: block by block
+        i, j = np.nonzero(self.row_key[:, None] == self.col_key)
+        if i.size == 0:
+            raise RuntimeError("two-site block has no charge-allowed entry")
+        self.index = self.row_order[i] * (d * r) + self.col_order[j]
+        first = _first_of_runs(self.row_key[i])
+        last = np.append(first[1:], i.size) - 1
+        self.keys = self.row_key[i[first]]
+        self.row_lo, self.row_hi = i[first], i[last] + 1
+        self.col_lo, self.col_hi = j[first], j[last] + 1
+        self.offsets = np.append(first, i.size)
+        self.size = i.size
+        a, s = np.divmod(self.row_order[self.row_lo], d)
+        self.charges = qL[a] + qsite[s]
+
+    def matches(self, qL, qR):
+        """Whether bonds of charges qL and qR have this layout."""
+        return np.array_equal(self.qL, qL) and np.array_equal(self.qR, qR)
+
+    def gather(self, theta):
+        """Block vector of the allowed entries of a dense theta."""
+        return theta.ravel()[self.index]
+
+    def views(self, x):
+        """The blocks of a block vector, as matrices sharing its memory."""
+        return [
+            x[lo:hi].reshape(r1 - r0, c1 - c0)
+            for lo, hi, r0, r1, c0, c1 in zip(
+                self.offsets[:-1], self.offsets[1:],
+                self.row_lo, self.row_hi, self.col_lo, self.col_hi,
+            )
+        ]
+
+
+def _ragged_arange(lengths):
+    """Concatenation of arange(n) for every n in ``lengths``."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+class TwoSiteHeff:
+    """H_eff of one two-site problem, acting on block vectors.
+
+    MPO state v of the middle bond carries block k (key q) to the block of
+    key q + dk[v]; each such (k, v) is a path.  ``matvec`` first multiplies
+    every block by its right pieces side by side,
+    Z_k = Theta_k . [RW_v^T]_(paths from k), then gathers for every
+    target t the Z pieces that reach it, stacked, into S_t, and applies
+    the left pieces side by side, Y_t = [LW_v]_(paths to t) . S_t.  Paths
+    are ordered by (v, row) on both sides.
+
+    The index arithmetic depends on the charges only and happens here;
+    ``load`` fills in the pieces of one pair of environments, so a bond
+    whose charges did not change since its last visit reuses the whole
+    layout.  Every matvec reuses the same buffers.
+    """
+
+    def __init__(self, blocks, channels):
+        self.blocks = blocks
+        self.W1, self.W2, dk = channels
+        l, d, _, r = blocks.shape
+        D = dk.size
+        keys, nb = blocks.keys, blocks.keys.size
+        nr = blocks.row_hi - blocks.row_lo
+        nc = blocks.col_hi - blocks.col_lo
+        rk, ck = blocks.row_key, blocks.col_key
+        # offsets into LW as X[a', a, s1', s1, v] and RW as Y[v, s2', s2, b', b]
+        a, s = np.divmod(blocks.row_order, d)
+        row_out, row_in = a * (l * d * d * D) + s * (d * D), a * (d * d * D) + s * D
+        s, b = np.divmod(blocks.col_order, r)
+        col_out, col_in = s * (d * r * r) + b * r, s * (r * r) + b
+
+        def block_of(k):
+            n = np.minimum(np.searchsorted(keys, k), nb - 1)
+            return n, keys[n] == k
+
+        # left: L_t has a column per path (v, sorted row p) into t, by (v, p)
+        src, ok_src = block_of(rk)
+        dst, ok_dst = block_of(rk + dk[:, None])
+        pv, pp = np.nonzero(ok_src & ok_dst)
+        order = np.argsort(dst[pv, pp], kind="stable")
+        pv, pp = pv[order], pp[order]
+        pt = dst[pv, pp]
+        i, c = np.nonzero(rk[:, None] == keys[pt])
+        self._L_index = row_out[i] + pv[c] + row_in[pp[c]]
+        # right: R_k has a column per (v, sorted column q) that a path from
+        # k reaches, by (v, q)
+        qsrc, ok_q = block_of(ck - dk[:, None])
+        qv, qq = np.nonzero(ok_q & block_of(ck)[1])
+        order = np.argsort(qsrc[qv, qq], kind="stable")
+        qv, qq = qv[order], qq[order]
+        qk = qsrc[qv, qq]
+        i, c = np.nonzero(ck[:, None] == keys[qk])
+        self._R_index = col_in[i] + qv[c] * (d * d * r * r) + col_out[qq[c]]
+        # S_t stacks, for every path (v, p) into t, row p of Z_src[p]
+        # restricted to the run of columns of state v
+        r_start = np.searchsorted(qk, np.arange(nb + 1))
+        width = np.diff(r_start)
+        depth = np.diff(np.searchsorted(pt, np.arange(nb + 1)))
+        k = src[pp]
+        z_ofs = np.cumsum(nr * width) - nr * width
+        run = np.searchsorted(qk * D + qv, k * D + pv) - r_start[k]
+        s_rows = z_ofs[k] + (pp - blocks.row_lo[k]) * width[k] + run
+        n = nc[pt]
+        self._s_index = np.repeat(s_rows, n) + _ragged_arange(n)
+
+        self._L = np.empty(self._L_index.size)
+        self._R = np.empty(self._R_index.size)
+        self._x = np.empty(blocks.size)
+        self._y = np.zeros(blocks.size)
+        self._z = np.empty(int((nr * width).sum()))
+        self._s = np.empty(self._s_index.size)
+        self._right, self._left = [], []
+        r_ofs = l_ofs = s_ofs = 0
+        for t in range(nb):
+            lo, hi = blocks.offsets[t], blocks.offsets[t + 1]
+            if width[t]:
+                self._right.append((
+                    self._x[lo:hi].reshape(nr[t], nc[t]),
+                    self._R[r_ofs:r_ofs + nc[t] * width[t]].reshape(nc[t], width[t]),
+                    self._z[z_ofs[t]:z_ofs[t] + nr[t] * width[t]].reshape(nr[t], width[t]),
+                ))
+                r_ofs += nc[t] * width[t]
+            if depth[t]:
+                self._left.append((
+                    self._L[l_ofs:l_ofs + nr[t] * depth[t]].reshape(nr[t], depth[t]),
+                    self._s[s_ofs:s_ofs + depth[t] * nc[t]].reshape(depth[t], nc[t]),
+                    self._y[lo:hi].reshape(nr[t], nc[t]),
+                ))
+                l_ofs += nr[t] * depth[t]
+                s_ofs += depth[t] * nc[t]
+
+    def load(self, EL, ER):
+        """Gather the pieces of LW and RW for environments EL and ER."""
+        l, r = EL.shape[0], ER.shape[0]
+        X = EL.transpose(0, 2, 1).reshape(l * l, -1) @ self.W1.reshape(self.W1.shape[0], -1)
+        np.take(X, self._L_index, out=self._L)
+        Y = self.W2.reshape(-1, self.W2.shape[3]) @ ER.transpose(1, 0, 2).reshape(-1, r * r)
+        np.take(Y, self._R_index, out=self._R)
+        return self
+
+    def matvec(self, x):
+        np.copyto(self._x, x)
+        for xk, R, zk in self._right:
+            np.matmul(xk, R, out=zk)
+        np.take(self._z, self._s_index, out=self._s, mode="clip")
+        for L, st, yt in self._left:
+            np.matmul(L, st, out=yt)
+        return self._y.copy()
 
 
 def select_cut(s, chi_max, cutoff, degeneracy_rtol=1e-12):
@@ -155,46 +391,40 @@ def select_cut(s, chi_max, cutoff, degeneracy_rtol=1e-12):
     return keep, 1.0 - kept_weight / total
 
 
-def split_two_site(theta, qL, q1, q2, qR, chi_max, cutoff):
-    """Charge-resolved truncated SVD of a two-site block.
+def split_two_site(blocks, x, chi_max, cutoff):
+    """Charge-resolved truncated SVD of a two-site block vector.
 
-    Returns (U3, s, Vt3, bond_charges, discarded) with U3 (l, d1, k)
-    left-isometric, Vt3 (k, d2, r) right-isometric, and s renormalized so
-    sum(s^2) = 1.  Entries outside charge blocks stay exactly zero.
+    ``x`` holds the charge blocks of ``blocks`` (a TwoSiteBlocks); each is
+    SVDed where it lies.  Returns (U3, s, Vt3, bond_charges, discarded)
+    with U3 (l, d1, k) left-isometric, Vt3 (k, d2, r) right-isometric, and
+    s renormalized so sum(s^2) = 1.  Entries outside charge blocks stay
+    exactly zero.
     """
-    l, d1, d2, r = theta.shape
-    nq = qL.shape[1]
-    M = theta.reshape(l * d1, d2 * r)
-    row_q = (qL[:, None, :] + q1[None, :, :]).reshape(l * d1, nq)
-    col_q = (qR[None, :, :] - q2[:, None, :]).reshape(d2 * r, nq)
-    blocks = blockwise_svd(M, row_q, col_q)
-    if not blocks:
-        raise RuntimeError("two-site block carries no charge-allowed weight")
-    s_concat = np.concatenate([b[4] for b in blocks])
+    l, d1, d2, r = blocks.shape
+    svds = [np.linalg.svd(M, full_matrices=False) for M in blocks.views(x)]
+    s_concat = np.concatenate([sv[1] for sv in svds])
     keep, discarded = select_cut(s_concat, chi_max, cutoff)
-    k_tot = int(keep.sum())
+    # the kept values of a block lead it, since each block is sorted
+    starts = np.cumsum([0] + [sv[1].size for sv in svds[:-1]])
+    kept = np.add.reduceat(keep, starts)
+    k_tot = int(kept.sum())
     U = np.zeros((l * d1, k_tot))
     Vt = np.zeros((k_tot, d2 * r))
-    q_new = np.zeros((k_tot, nq), dtype=np.int64)
-    s_out = np.empty(k_tot)
-    ofs_in = 0
-    ofs_out = 0
-    for q, ri, ci, Ub, sb, Vtb in blocks:
-        kb = int(keep[ofs_in : ofs_in + sb.size].sum())
-        ofs_in += sb.size
-        if kb == 0:
-            continue
-        U[np.ix_(ri, np.arange(ofs_out, ofs_out + kb))] = Ub[:, :kb]
-        Vt[np.ix_(np.arange(ofs_out, ofs_out + kb), ci)] = Vtb[:kb]
-        q_new[ofs_out : ofs_out + kb] = q
-        s_out[ofs_out : ofs_out + kb] = sb[:kb]
-        ofs_out += kb
+    ofs = 0
+    for n, (Ub, _, Vtb) in enumerate(svds):
+        kb = int(kept[n])
+        rows = blocks.row_order[blocks.row_lo[n]:blocks.row_hi[n]]
+        cols = blocks.col_order[blocks.col_lo[n]:blocks.col_hi[n]]
+        U[rows, ofs:ofs + kb] = Ub[:, :kb]
+        Vt[ofs:ofs + kb, cols] = Vtb[:kb]
+        ofs += kb
+    s_out = s_concat[keep]
     s_out = s_out / np.sqrt((s_out**2).sum())
     return (
         U.reshape(l, d1, k_tot),
         s_out,
         Vt.reshape(k_tot, d2, r),
-        q_new,
+        np.repeat(blocks.charges, kept, axis=0),
         discarded,
     )
 
@@ -216,6 +446,9 @@ def dmrg_ground_state(spec, config=None):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     qsite = spec.site_charge_array()
     L = spec.L
+    c_mpo = mpo_charges(mpo, qsite)
+    channels = [bond_channels(mpo[i], mpo[i + 1], c_mpo[i + 1]) for i in range(L - 1)]
+    layouts = [None] * (L - 1)  # per bond: the last TwoSiteHeff built there
     EL = [None] * (L + 1)
     ER = [None] * (L + 1)
     EL[0] = np.ones((1, 1, 1))
@@ -235,39 +468,29 @@ def dmrg_ground_state(spec, config=None):
             bonds = range(L - 1) if direction == "right" else range(L - 2, -1, -1)
             for i in bonds:
                 theta = np.tensordot(psi.site_tensors[i], psi.site_tensors[i + 1], axes=([2], [0]))
-                mask = allowed_mask_two_site(
-                    psi.bond_charges[i], qsite, qsite, psi.bond_charges[i + 2]
-                )
+                qL, qR = psi.bond_charges[i], psi.bond_charges[i + 2]
+                heff = layouts[i]
+                if heff is None or not heff.blocks.matches(qL, qR):
+                    heff = layouts[i] = TwoSiteHeff(TwoSiteBlocks(qL, qsite, qR), channels[i])
+                heff.load(EL[i], ER[i + 2])
+                blocks = heff.blocks
                 if warm and config.noise_scale > 0.0:
                     theta = theta + config.noise_scale * rng.standard_normal(theta.shape)
-                theta *= mask
-                nrm = np.linalg.norm(theta)
+                x = blocks.gather(theta)
+                nrm = np.linalg.norm(x)
                 if nrm == 0.0:
                     raise RuntimeError("two-site block vanished during sweep")
-                theta /= nrm
-
-                def matvec(v, _shape=theta.shape, _EL=EL[i], _W1=mpo[i], _W2=mpo[i + 1], _ER=ER[i + 2], _mask=mask):
-                    return _apply_h_eff(
-                        v.reshape(_shape), _EL, _W1, _W2, _ER, _mask
-                    ).ravel()
-
+                x /= nrm
                 energy, vec, info = lowest_eigenpair(
-                    matvec,
-                    theta.ravel(),
+                    heff.matvec,
+                    x,
                     tol=config.lanczos_tol,
                     krylov_dim=config.lanczos_dim,
                     max_restarts=max_restarts,
                 )
                 n_matvec += info["matvecs"]
-                theta_opt = vec.reshape(theta.shape)
                 U3, s, Vt3, q_new, discarded = split_two_site(
-                    theta_opt,
-                    psi.bond_charges[i],
-                    qsite,
-                    qsite,
-                    psi.bond_charges[i + 2],
-                    chi,
-                    config.svd_cutoff,
+                    blocks, vec, chi, config.svd_cutoff
                 )
                 total_discard += discarded
                 psi.bond_charges[i + 1] = q_new

@@ -11,6 +11,10 @@ componentwise; all other entries are exactly 0.0, kept that way by doing
 every decomposition per charge block and scattering the factors back into
 zero-initialized arrays.  Gauge moves (canonical-center shifts) use
 block-diagonal SVDs without truncation, so they are exact up to rounding.
+
+Only the sweep solver's local eigenproblem leaves this dense form: there
+the two-site block lives as its charge blocks alone (dmrg.TwoSiteBlocks),
+and split_two_site writes the factors back into dense site tensors.
 """
 
 import copy as _copy
@@ -59,16 +63,6 @@ class MPSState:
     def max_bond_dimension(self):
         return max(self.bond_dimensions())
 
-    def bond_blocks(self, bond):
-        """Compressed bond structure: list of (charge tuple, block dimension)."""
-        out = []
-        for row in map(tuple, self.bond_charges[bond]):
-            if out and out[-1][0] == row:
-                out[-1] = (row, out[-1][1] + 1)
-            else:
-                out.append((row, 1))
-        return out
-
 
 def copy_mps(mps):
     return MPSState(
@@ -108,16 +102,6 @@ def allowed_mask_site(qL, qsite, qR):
     """Boolean (chi_l, d, chi_r) mask of charge-allowed tensor entries."""
     lhs = qL[:, None, None, :] + qsite[None, :, None, :]
     return np.all(lhs == qR[None, None, :, :], axis=-1)
-
-
-def allowed_mask_two_site(qL, q1, q2, qR):
-    """Boolean (chi_l, d1, d2, chi_r) mask for a two-site wavefunction."""
-    lhs = (
-        qL[:, None, None, None, :]
-        + q1[None, :, None, None, :]
-        + q2[None, None, :, None, :]
-    )
-    return np.all(lhs == qR[None, None, None, :, :], axis=-1)
 
 
 def blockwise_svd(M, row_charges, col_charges):

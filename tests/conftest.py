@@ -3,9 +3,11 @@
 The acceptance tests need DMRG sweeps over full control-parameter grids,
 which take minutes per system size.  Datasets are generated once into
 tests/.cache/ and reused on subsequent runs; delete the directory to force
-regeneration.  Grids are denser inside the training/validation windows
-than in the far gapped region, which keeps generation affordable without
-starving the detector of training points.
+regeneration.  generate skips the grid points a file already holds, so a
+complete cache costs one read per segment and an interrupted one resumes.
+Grids are denser inside the training/validation windows than in the far
+gapped region, which keeps generation affordable without starving the
+detector of training points.
 """
 
 import os
@@ -27,16 +29,15 @@ GRIDS = {
 
 def _ensure(name):
     path = os.path.join(CACHE, name)
-    if not os.path.exists(path):
-        os.makedirs(CACHE, exist_ok=True)
-        model_id, L, segments = GRIDS[name]
-        for lo, hi, step in segments:
-            cfg = SweepConfig(
-                model_id=model_id, L=L,
-                control_min=lo, control_max=hi, step=step,
-                out_path=path,
-            )
-            generate(cfg)
+    os.makedirs(CACHE, exist_ok=True)
+    model_id, L, segments = GRIDS[name]
+    for lo, hi, step in segments:
+        cfg = SweepConfig(
+            model_id=model_id, L=L,
+            control_min=lo, control_max=hi, step=step,
+            out_path=path,
+        )
+        generate(cfg)
     return path
 
 

@@ -69,3 +69,27 @@ def xx_charge_resolved_spectrum(L, ell, n_particles=None):
             p *= v if o else (1.0 - v)
         out.setdefault(sum(occ), []).append(p)
     return {n: np.sort(np.array(ps))[::-1] for n, ps in sorted(out.items())}
+
+
+def allowed_mask_two_site(qL, q1, q2, qR):
+    """Boolean (chi_l, d1, d2, chi_r) mask of the charge-allowed entries of
+    a two-site block: qL[a] + q1[s1] + q2[s2] == qR[b] componentwise."""
+    lhs = (
+        qL[:, None, None, None, :]
+        + q1[None, :, None, None, :]
+        + q2[None, None, :, None, :]
+    )
+    return np.all(lhs == qR[None, None, None, :, :], axis=-1)
+
+
+def apply_h_eff_dense(theta, EL, W1, W2, ER, mask):
+    """Two-site H_eff on a dense block by four tensordots, then masked.
+
+    EL is (bra, w, ket), W1 and W2 are (w, s_out, s_in, v), ER is
+    (bra, u, ket); the reference for the charge-blocked matvec.
+    """
+    X = np.tensordot(EL, theta, axes=([2], [0]))  # (a, w, s1, s2, br)
+    X = np.tensordot(X, W1, axes=([1, 2], [0, 2]))  # (a, s2, br, s1', v)
+    X = np.tensordot(X, W2, axes=([4, 1], [0, 2]))  # (a, br, s1', s2', u)
+    X = np.tensordot(X, ER, axes=([1, 4], [2, 1]))  # (a, s1', s2', ar)
+    return X * mask

@@ -18,8 +18,20 @@ from esgan.solver.mps import (
     mps_norm,
     to_dense,
 )
+from esgan.solver.dmrg import (
+    TwoSiteBlocks,
+    TwoSiteHeff,
+    bond_channels,
+    build_mpo,
+    mpo_charges,
+)
 
-from oracles import xx_entropy_profile, xx_ground_energy
+from oracles import (
+    allowed_mask_two_site,
+    apply_h_eff_dense,
+    xx_entropy_profile,
+    xx_ground_energy,
+)
 
 
 def run(spec, **kw):
@@ -162,3 +174,40 @@ def test_two_species_small_chain_matches_ed():
     e_ed, _ = ed_ground_state(spec)
     psi = run(spec, chi_max=128, svd_cutoff=1e-13, energy_tol=1e-12, seed=10)
     assert abs(psi.energy - e_ed) < 1e-8
+
+
+@pytest.mark.parametrize("model_id", ["xxz", "bh", "bh2s"])
+def test_blocked_h_eff_matches_dense_oracle(model_id):
+    # random two-site problems whose environments and block respect the
+    # charges; bh2s has two charges, so its keys stand for tuples
+    spec = build_model(model_id, L=4, control=0.7)
+    mpo = build_mpo(spec)
+    qsite = spec.site_charge_array()
+    c = mpo_charges(mpo, qsite)
+    channels = bond_channels(mpo[1], mpo[2], c[2])
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        qL = rng.integers(0, 3, size=(5, spec.n_charges))
+        qR = rng.integers(1, 6, size=(6, spec.n_charges))
+        el_ok = np.all(qL[:, None, None, :] - qL[None, None, :, :] == c[1][None, :, None, :], axis=-1)
+        er_ok = np.all(qR[:, None, None, :] - qR[None, None, :, :] == c[3][None, :, None, :], axis=-1)
+        EL = rng.standard_normal(el_ok.shape) * el_ok
+        ER = rng.standard_normal(er_ok.shape) * er_ok
+        mask = allowed_mask_two_site(qL, qsite, qsite, qR)
+        theta = rng.standard_normal(mask.shape) * mask
+        blocks = TwoSiteBlocks(qL, qsite, qR)
+        assert blocks.size == mask.sum() and blocks.keys.size > 1
+        dense = apply_h_eff_dense(theta, EL, mpo[1], mpo[2], ER, np.ones_like(mask))
+        # consistent charges keep H_eff inside the allowed entries
+        assert np.abs(dense[~mask]).max(initial=0.0) < 1e-12
+        y = TwoSiteHeff(blocks, channels).load(EL, ER).matvec(blocks.gather(theta))
+        ref = blocks.gather(apply_h_eff_dense(theta, EL, mpo[1], mpo[2], ER, mask))
+        assert np.abs(y - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_two_species_four_sites_matches_ed_with_clean_charges():
+    spec = build_model("bh2s", L=4, control=0.5, n_max=2)
+    e_ed, _ = ed_ground_state(spec)
+    psi = run(spec, chi_max=64, svd_cutoff=1e-13, energy_tol=1e-12, seed=3)
+    assert abs(psi.energy - e_ed) < 1e-9
+    assert check_charge_consistency(psi) == 0.0

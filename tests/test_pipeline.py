@@ -2,6 +2,8 @@
 behavior and exit codes, all at toy sizes."""
 
 import os
+import re
+import shlex
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +103,48 @@ def test_read_rejects_foreign_file(tmp_path):
         read_dataset(str(p))
 
 
+def _two_record_file(tmp_path):
+    recs = [
+        make_labeled_spectrum(
+            [0.75, 0.25 - 1e-9], [(2,), (3,)], model_id="xxz", L=4,
+            bipartition=2, filling=(Fraction(1, 2),), control_value=c,
+        )
+        for c in (-0.5, 0.0)
+    ]
+    ds = SpectrumDataset(
+        model_id="xxz", L=4, filling=(Fraction(1, 2),), bipartition=2,
+        chi_max=16, svd_cutoff=1e-10, boundary="open", seed=7, records=recs,
+    )
+    path = str(tmp_path / "two.ds")
+    write_dataset(path, ds)
+    with open(path) as fh:
+        return path, fh.read().splitlines()
+
+
+@pytest.mark.parametrize(
+    "cut, edit, line",
+    [
+        (-1, None, 22),  # ends inside the second record's entries
+        (-6, None, 17),  # ends after whole records, short of n_records
+        (None, (18, "contrl 0x0.0p+0"), 19),  # record field misnamed
+        (None, (21, "entry 2 0 0xzz"), 22),  # probability garbled
+        (None, (3, "L four"), 4),  # header value garbled
+        (None, (17, "record"), 18),  # record marker garbled
+    ],
+)
+def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
+    path, lines = _two_record_file(tmp_path)
+    assert read_dataset(path).records  # the intact file reads
+    if cut is not None:
+        lines = lines[:cut]
+    if edit is not None:
+        lines[edit[0]] = edit[1]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: "):
+        read_dataset(path)
+
+
 def test_curve_round_trip(tmp_path):
     curve = ScoreCurve(
         rows=[
@@ -153,6 +197,24 @@ def test_generate_interrupted_then_resumed_equals_uninterrupted(tmp_path):
     a_rec = a[a.index(b"[record]"):]
     b_rec = b[b.index(b"[record]"):]
     assert a_rec == b_rec
+
+
+def test_generate_returns_what_the_file_holds(tmp_path):
+    ds, path = tiny_sweep(tmp_path, count=3, name="f.ds")
+    assert ds == read_dataset(path)
+    # resume around existing points: new records land on both sides
+    cfg_tail = SweepConfig(
+        model_id="xxz", L=6, control_min=-0.5, control_max=0.0,
+        count=2, chi_max=16, out_path=str(tmp_path / "r.ds"),
+    )
+    generate(cfg_tail)
+    ds, path = tiny_sweep(tmp_path, count=5, name="r.ds")
+    back = read_dataset(path)
+    assert list(ds.controls()) == sorted(ds.controls())
+    assert len(ds.records) == len(back.records) == 5
+    for a, b in zip(ds.records, back.records):
+        assert a == b
+    assert ds == back
 
 
 def test_generate_rejects_mismatched_existing_file(tmp_path):
@@ -357,3 +419,26 @@ def test_cli_rejects_bad_config_file(tmp_path):
         "--count", "3", "--config", str(tmp_path / "missing.cfg"),
     ])
     assert rc == 2
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [
+        shlex.split(cmd)[1:]
+        for cmd in block.replace("\\\n", " ").splitlines()
+        if cmd.startswith("esgan ")
+    ]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "generate", "train", "scan", "kl", "stability", "towers",
+    }
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)  # argparse exits on a bad line
+        assert args.command == argv[0]
