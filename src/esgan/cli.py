@@ -48,7 +48,6 @@ def build_parser():
     p.add_argument("--max-sweeps", type=int, default=12)
     p.add_argument("--n-max", type=int)
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     _add_config_arg(p)
 
@@ -72,7 +71,6 @@ def build_parser():
     p.add_argument("dataset")
     p.add_argument("--kl", action="store_true",
                    help="append the divergence baseline column")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     _add_config_arg(p)
 
@@ -162,7 +160,7 @@ def run(argv=None):
             seed=args.seed,
             out_path=args.out,
         )
-        ds, path = pipeline.generate(cfg, threads=args.threads)
+        ds, path = pipeline.generate(cfg)
         print(f"{len(ds.records)} records -> {path}")
 
     elif args.command == "train":
@@ -194,7 +192,6 @@ def run(argv=None):
             args.dataset,
             out_path=args.out,
             with_kl=args.kl,
-            threads=args.threads,
         )
         print(f"{len(curve.rows)} points -> {path}")
 

@@ -80,22 +80,16 @@ def default_train_config(model_id, **overrides):
 
 @dataclass
 class GanModel:
-    """Generator layers plus discriminator, seeded and flagged."""
+    """Generator autoencoder plus discriminator, seeded and flagged."""
 
-    encoder: tuple
-    decoder: tuple
-    skip: bool
+    generator: Autoencoder
     discriminator: MLP
     seed: int
     trained_flag: bool = False
 
     @property
-    def generator(self):
-        return Autoencoder(*self.encoder, *self.decoder, skip=self.skip)
-
-    @property
     def n_feat(self):
-        return self.encoder[0].in_width
+        return self.generator.n_feat
 
 
 def build_gan(n_feat=64, seed=0, skip=True):
@@ -110,9 +104,7 @@ def build_gan(n_feat=64, seed=0, skip=True):
         activations=["relu", "relu", "sigmoid"],
     )
     return GanModel(
-        encoder=(ae.enc1, ae.enc2, ae.enc3),
-        decoder=(ae.dec1, ae.dec2, ae.dec3),
-        skip=skip,
+        generator=ae,
         discriminator=disc,
         seed=seed,
     )
@@ -353,20 +345,6 @@ def scan(det, features):
     return rows
 
 
-def cross_size_scan(det, features):
-    """Scan data from a different system size.
-
-    The vectors must be built at the same feature width, each size using
-    its own reference sequence; beyond the width check this is `scan`.
-    """
-    for f in features:
-        if f.values.shape[-1] != det.model.n_feat:
-            raise ShapeError(
-                f"feature width {f.values.shape[-1]} != model {det.model.n_feat}"
-            )
-    return scan(det, features)
-
-
 def leftmost_crossing(controls, scores, level):
     """Smallest control value where the curve sits at or above ``level``
     and drops below it at the next grid point (None when it never does).
@@ -428,7 +406,7 @@ def save_detector(path, det):
     meta = {
         "detector_version": DETECTOR_VERSION,
         "n_feat": model.n_feat,
-        "skip": model.skip,
+        "skip": gen.skip,
         "seed": model.seed,
         "trained_flag": model.trained_flag,
         "converged": det.converged,

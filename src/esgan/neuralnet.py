@@ -8,6 +8,7 @@ with hex-encoded floats and round-trip byte-identically.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -403,11 +404,25 @@ def save_checkpoint(path, meta, arrays):
         lines.append(f"array {key} {len(a.shape)} {shape}")
         lines.append(" ".join(x.hex() for x in a.ravel()))
     text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
         fh.write(text)
+    os.replace(tmp, path)
+
+
+def _parse_meta(kind, raw):
+    if kind == "bool":
+        return bool(int(raw))
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        return float.fromhex(raw)
+    return raw
 
 
 def load_checkpoint(path):
+    """(meta, arrays) of a checkpoint; malformed input raises ValueError
+    naming ``path:line``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"# {CHECKPOINT_MAGIC}":
@@ -415,24 +430,34 @@ def load_checkpoint(path):
     meta, arrays = {}, {}
     i = 1
     while i < len(lines):
+        where = f"{path}:{i + 1}"
         parts = lines[i].split(None, 3)
-        if parts[0] == "meta":
+        if len(parts) == 4 and parts[0] == "meta":
             _, key, kind, raw = parts
-            if kind == "bool":
-                meta[key] = bool(int(raw))
-            elif kind == "int":
-                meta[key] = int(raw)
-            elif kind == "float":
-                meta[key] = float.fromhex(raw)
-            else:
-                meta[key] = raw
+            try:
+                meta[key] = _parse_meta(kind, raw)
+            except ValueError:
+                raise ValueError(f"{where}: bad {kind} value {raw!r}") from None
             i += 1
-        elif parts[0] == "array":
+        elif len(parts) == 4 and parts[0] == "array":
             _, key, ndim, rest = parts
-            shape = tuple(int(x) for x in rest.split()[: int(ndim)])
-            values = [float.fromhex(x) for x in lines[i + 1].split()]
-            arrays[key] = np.array(values).reshape(shape)
+            dims = rest.split()
+            if not all(x.isdigit() for x in [ndim, *dims]) or len(dims) != int(ndim):
+                raise ValueError(f"{where}: bad shape for array {key!r}")
+            shape = tuple(int(x) for x in dims)
+            if i + 1 == len(lines):
+                raise ValueError(f"{where}: file ends before the values of array {key!r}")
+            try:
+                values = np.array([float.fromhex(x) for x in lines[i + 1].split()])
+            except ValueError:
+                raise ValueError(f"{path}:{i + 2}: bad hex value in array {key!r}") from None
+            if values.size != math.prod(shape):
+                raise ValueError(
+                    f"{path}:{i + 2}: array {key!r} holds {values.size} values, "
+                    f"shape {shape} needs {math.prod(shape)}"
+                )
+            arrays[key] = values.reshape(shape)
             i += 2
         else:
-            raise ValueError(f"unrecognized checkpoint line: {lines[i]!r}")
+            raise ValueError(f"{where}: unrecognized checkpoint line {lines[i]!r}")
     return meta, arrays

@@ -15,7 +15,6 @@ import bisect
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -287,21 +286,23 @@ def read_dataset(path):
 # ---------------------------------------------------------------- generate
 
 def _solve_point(cfg, control):
+    """(spectrum, converged, sweeps) of one grid point."""
     spec = build_model(cfg.model_id, cfg.L, control, n_max=cfg.n_max)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # convergence warnings logged below
+        warnings.simplefilter("ignore")  # generate logs non-convergence
         psi = dmrg_ground_state(spec, cfg.dmrg_config())
-    return schmidt_decompose(psi)
+    return schmidt_decompose(psi), psi.converged, psi.stats["sweeps"]
 
 
-def generate(cfg, threads=1, log=None):
+def generate(cfg, log=None):
     """Run the sweep, appending to an existing dataset file if present.
 
     A grid point whose exact control value already has a record is
     skipped; a point whose solver run raises is logged and skipped, and
-    the sweep continues.  The file on disk is rewritten atomically after
-    every completed point, so interrupting and rerunning loses at most
-    the point in flight.  The returned dataset keeps its records sorted
+    the sweep continues.  A point whose solver did not converge is logged
+    and kept.  The file on disk is rewritten atomically after every
+    completed point, so interrupting and rerunning loses at most the
+    point in flight.  The returned dataset keeps its records sorted
     by control value, as the file does, and equals what reading the file
     back gives.
     """
@@ -338,22 +339,18 @@ def generate(cfg, threads=1, log=None):
     if not todo:
         return ds, path
 
-    def solve(control):
-        try:
-            return control, _solve_point(cfg, control), None
-        except Exception as exc:  # noqa: BLE001 - sweep must survive a point
-            return control, None, exc
-
     failures = 0
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        results = pool.map(solve, todo) if threads > 1 else map(solve, todo)
-        for control, rec, exc in results:
-            if exc is not None:
-                failures += 1
-                print(f"[generate] {control:g} failed: {exc}", file=log)
-                continue
-            bisect.insort(ds.records, rec, key=_control)
-            write_dataset(path, ds)
+    for control in todo:
+        try:
+            rec, converged, sweeps = _solve_point(cfg, control)
+        except Exception as exc:  # noqa: BLE001 - sweep must survive a point
+            failures += 1
+            print(f"[generate] {control:g} failed: {exc}", file=log)
+            continue
+        if not converged:
+            print(f"[generate] {control:g} not converged in {sweeps} sweeps", file=log)
+        bisect.insort(ds.records, rec, key=_control)
+        write_dataset(path, ds)
     if failures == len(todo):
         raise SolverError(f"all {failures} grid points failed")
     return ds, path
@@ -451,14 +448,13 @@ def read_curve(path):
 
 
 def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
-             n_feat=N_FEAT, threads=1):
+             n_feat=N_FEAT):
     """Score a dataset with a trained detector; returns (curve, path).
 
     Same-size data aligns on the detector's own sector sequence; data at
     a different system size gets its own origin-built sequence (the
     cross-size protocol).  ``with_kl`` appends the KL divergence of each
-    record from the origin record.  Records are independent, so scoring
-    fans out over ``threads``; rows are sorted afterwards either way.
+    record from the origin record.  Rows come sorted by control value.
     """
     det = gan.load_detector(checkpoint_path)
     ds = read_dataset(dataset_path)
@@ -478,20 +474,9 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
     same_size = det.L is None or det.L == ds.L
     if same_size and det.sequence is not None:
         features, sequence = dataset_features(ds, n_feat, sequence=det.sequence)
-        scanner = gan.scan
     else:
         features, sequence = dataset_features(ds, n_feat)
-        scanner = gan.cross_size_scan
-    if threads > 1:
-        chunks = [features[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda ch: scanner(det, ch) if ch else [], chunks)
-        rows = sorted(
-            (r for part in parts for r in part),
-            key=lambda r: r["control_value"],
-        )
-    else:
-        rows = scanner(det, features)
+    rows = gan.scan(det, features)
     if with_kl:
         origin = ds.origin_record()
         kl_by_control = {

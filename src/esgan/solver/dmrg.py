@@ -14,15 +14,17 @@ The local eigenproblem works on charge blocks only.  The two-site block
 theta[a, s1, s2, b] is a matrix with rows (a, s1), of charge
 qL[a] + q[s1], and columns (s2, b), of charge qR[b] - q[s2]; an entry is
 allowed only where the two agree, so the matrix is block diagonal in this
-middle charge (TwoSiteBlocks).  The Lanczos vector holds the blocks,
+middle charge.  TwoSiteBlocks is that layout: the ChargeBlocks of mps.py,
+which the gauge moves use as well.  The Lanczos vector holds the blocks,
 row-major, in ascending charge order, and nothing else.  H_eff acts as
 sum_v LW_v . Theta . RW_v^T, with LW_v the left environment contracted
 with the left MPO tensor and RW_v the right MPO tensor contracted with the
 right environment, v running over the MPO states of the middle bond.
 State v shifts the middle charge by its own charge, so H_eff maps block q
 to the blocks q + delta_v only, and only those pieces of LW_v and RW_v
-are gathered (TwoSiteHeff).  Site tensors and environments stay dense
-arrays with charge labels (see mps.py).
+are gathered (TwoSiteHeff).  The split SVDs each block where it lies and
+truncates across all of them; the kept vectors become dense site tensors
+with charge labels, as are the environments (see mps.py).
 
 The search starts from a product state in the target sector; the first
 ``warmup_sweeps`` sweeps run at a reduced bond dimension and add a small
@@ -37,7 +39,7 @@ import numpy as np
 
 from ..models import expanded_terms
 from .lanczos import lowest_eigenpair
-from .mps import mps_norm, product_mps
+from .mps import ChargeBlocks, charge_keys, mps_norm, product_mps
 
 
 @dataclass(frozen=True)
@@ -123,20 +125,6 @@ def expectation_value(mps, mpo):
     return float(E[0, 0, 0]) / nrm**2
 
 
-# one int64 per charge vector: linear, and ordered like the charge tuples
-_KEY_BASE = np.array([1 << 40, 1 << 20, 1], dtype=np.int64)
-
-
-def charge_keys(q):
-    """Integer key of each row of an (n, n_charges) charge array.
-
-    The key is linear, key(q + delta) = key(q) + key(delta), and sorts like
-    the charge tuples, for up to three charges of magnitude below 2**19.
-    """
-    q = np.asarray(q, dtype=np.int64)
-    return q @ _KEY_BASE[_KEY_BASE.size - q.shape[1]:]
-
-
 def mpo_charges(mpo, qsite):
     """Charge of every MPO state, one (D_b, n_charges) array per MPO bond.
 
@@ -176,69 +164,25 @@ def bond_channels(W1, W2, c):
     return W1[..., live], W2[live], keys[order]
 
 
-def _first_of_runs(a):
-    """Start of every run of equal values in ``a``."""
-    new = np.empty(a.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(a[1:], a[:-1], out=new[1:])
-    return np.flatnonzero(new)
-
-
-class TwoSiteBlocks:
-    """Charge-block layout of a two-site block theta[a, s1, s2, b].
+class TwoSiteBlocks(ChargeBlocks):
+    """Charge blocks of a two-site block theta[a, s1, s2, b].
 
     As a matrix, rows (a, s1) carry qL[a] + q[s1] and columns (s2, b)
-    carry qR[b] - q[s2].  Sorting rows and columns by charge key
-    (``row_order``, ``col_order``, stable) makes the allowed entries
-    diagonal blocks: block n, of middle charge ``charges[n]``, holds the
-    sorted rows ``row_lo[n]:row_hi[n]`` and columns ``col_lo[n]:col_hi[n]``.
-    A block vector holds the blocks row-major, one after the other in
-    ascending charge, from ``offsets[n]`` to ``offsets[n + 1]``.
+    carry qR[b] - q[s2]; a block's charge is the middle bond's.
     """
 
     def __init__(self, qL, qsite, qR):
         l, d, r = qL.shape[0], qsite.shape[0], qR.shape[0]
         self.shape = (l, d, d, r)
         self.qL, self.qR = qL.copy(), qR.copy()
-        ks = charge_keys(qsite)
-        row_key = (charge_keys(qL)[:, None] + ks).ravel()
-        col_key = (charge_keys(qR) - ks[:, None]).ravel()
-        self.row_order = np.argsort(row_key, kind="stable")
-        self.col_order = np.argsort(col_key, kind="stable")
-        self.row_key = row_key[self.row_order]
-        self.col_key = col_key[self.col_order]
-        # allowed entries of the sorted matrix, row-major: block by block
-        i, j = np.nonzero(self.row_key[:, None] == self.col_key)
-        if i.size == 0:
-            raise RuntimeError("two-site block has no charge-allowed entry")
-        self.index = self.row_order[i] * (d * r) + self.col_order[j]
-        first = _first_of_runs(self.row_key[i])
-        last = np.append(first[1:], i.size) - 1
-        self.keys = self.row_key[i[first]]
-        self.row_lo, self.row_hi = i[first], i[last] + 1
-        self.col_lo, self.col_hi = j[first], j[last] + 1
-        self.offsets = np.append(first, i.size)
-        self.size = i.size
-        a, s = np.divmod(self.row_order[self.row_lo], d)
-        self.charges = qL[a] + qsite[s]
+        super().__init__(
+            (qL[:, None] + qsite).reshape(l * d, -1),
+            (qR - qsite[:, None]).reshape(d * r, -1),
+        )
 
     def matches(self, qL, qR):
         """Whether bonds of charges qL and qR have this layout."""
         return np.array_equal(self.qL, qL) and np.array_equal(self.qR, qR)
-
-    def gather(self, theta):
-        """Block vector of the allowed entries of a dense theta."""
-        return theta.ravel()[self.index]
-
-    def views(self, x):
-        """The blocks of a block vector, as matrices sharing its memory."""
-        return [
-            x[lo:hi].reshape(r1 - r0, c1 - c0)
-            for lo, hi, r0, r1, c0, c1 in zip(
-                self.offsets[:-1], self.offsets[1:],
-                self.row_lo, self.row_hi, self.col_lo, self.col_hi,
-            )
-        ]
 
 
 def _ragged_arange(lengths):
@@ -401,32 +345,13 @@ def split_two_site(blocks, x, chi_max, cutoff):
     exactly zero.
     """
     l, d1, d2, r = blocks.shape
-    svds = [np.linalg.svd(M, full_matrices=False) for M in blocks.views(x)]
-    s_concat = np.concatenate([sv[1] for sv in svds])
-    keep, discarded = select_cut(s_concat, chi_max, cutoff)
+    svds = blocks.svd(x)
+    keep, discarded = select_cut(np.concatenate([sv[1] for sv in svds]), chi_max, cutoff)
     # the kept values of a block lead it, since each block is sorted
     starts = np.cumsum([0] + [sv[1].size for sv in svds[:-1]])
-    kept = np.add.reduceat(keep, starts)
-    k_tot = int(kept.sum())
-    U = np.zeros((l * d1, k_tot))
-    Vt = np.zeros((k_tot, d2 * r))
-    ofs = 0
-    for n, (Ub, _, Vtb) in enumerate(svds):
-        kb = int(kept[n])
-        rows = blocks.row_order[blocks.row_lo[n]:blocks.row_hi[n]]
-        cols = blocks.col_order[blocks.col_lo[n]:blocks.col_hi[n]]
-        U[rows, ofs:ofs + kb] = Ub[:, :kb]
-        Vt[ofs:ofs + kb, cols] = Vtb[:kb]
-        ofs += kb
-    s_out = s_concat[keep]
-    s_out = s_out / np.sqrt((s_out**2).sum())
-    return (
-        U.reshape(l, d1, k_tot),
-        s_out,
-        Vt.reshape(k_tot, d2, r),
-        np.repeat(blocks.charges, kept, axis=0),
-        discarded,
-    )
+    U, s, Vt, q_new = blocks.factors(svds, np.add.reduceat(keep, starts))
+    s = s / np.sqrt((s**2).sum())
+    return U.reshape(l, d1, -1), s, Vt.reshape(-1, d2, r), q_new, discarded
 
 
 def dmrg_ground_state(spec, config=None):

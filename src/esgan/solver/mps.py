@@ -7,17 +7,15 @@ be nonzero only when
 
     bond_charges[i][l] + site_charge[s] == bond_charges[i+1][r]
 
-componentwise; all other entries are exactly 0.0, kept that way by doing
-every decomposition per charge block and scattering the factors back into
-zero-initialized arrays.  Gauge moves (canonical-center shifts) use
-block-diagonal SVDs without truncation, so they are exact up to rounding.
-
-Only the sweep solver's local eigenproblem leaves this dense form: there
-the two-site block lives as its charge blocks alone (dmrg.TwoSiteBlocks),
-and split_two_site writes the factors back into dense site tensors.
+componentwise; all other entries are exactly 0.0.  Every decomposition
+goes through one layout, ChargeBlocks: a tensor read as a matrix whose
+rows and columns carry charges is block diagonal in that charge, each
+block is SVDed on its own, and the factors have no entry outside the
+blocks.  Gauge moves (canonical-center shifts) keep every direction of
+every block, so they are exact up to rounding; the sweep solver's
+two-site split (dmrg.TwoSiteBlocks) uses the same layout and truncates.
 """
 
-import copy as _copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +23,102 @@ import numpy as np
 from ..models import initial_product_configuration
 
 
-def group_rows(charges):
-    """Group identical integer rows: {charge tuple: index array}, keys sorted."""
-    groups = {}
-    for i, row in enumerate(map(tuple, np.asarray(charges))):
-        groups.setdefault(row, []).append(i)
-    return {q: np.asarray(ix, dtype=np.intp) for q, ix in sorted(groups.items())}
+# one int64 per charge vector: linear, and ordered like the charge tuples
+_KEY_BASE = np.array([1 << 40, 1 << 20, 1], dtype=np.int64)
+
+
+def charge_keys(q):
+    """Integer key of each row of an (n, n_charges) charge array.
+
+    The key is linear, key(q + delta) = key(q) + key(delta), and sorts like
+    the charge tuples, for up to three charges of magnitude below 2**19.
+    """
+    q = np.asarray(q, dtype=np.int64)
+    return q @ _KEY_BASE[_KEY_BASE.size - q.shape[1]:]
+
+
+def _first_of_runs(a):
+    """Start of every run of equal values in ``a``."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+class ChargeBlocks:
+    """Charge-block layout of a matrix whose rows and columns carry charges.
+
+    Entry (i, j) is allowed only where row_q[i] == col_q[j].  Sorting rows
+    and columns by charge key (``row_order``, ``col_order``, stable) makes
+    the allowed entries diagonal blocks: block n, of charge ``charges[n]``,
+    holds the sorted rows ``row_lo[n]:row_hi[n]`` and columns
+    ``col_lo[n]:col_hi[n]``, in ascending charge.  A row or column whose
+    charge has no partner on the other side lies in no block.  A block
+    vector holds the blocks row-major, one after the other, from
+    ``offsets[n]`` to ``offsets[n + 1]``.
+    """
+
+    def __init__(self, row_q, col_q):
+        row_key, col_key = charge_keys(row_q), charge_keys(col_q)
+        self.row_order = np.argsort(row_key, kind="stable")
+        self.col_order = np.argsort(col_key, kind="stable")
+        self.row_key = row_key[self.row_order]
+        self.col_key = col_key[self.col_order]
+        # allowed entries of the sorted matrix, row-major: block by block
+        i, j = np.nonzero(self.row_key[:, None] == self.col_key)
+        if i.size == 0:
+            raise RuntimeError("matrix has no charge-allowed entry")
+        self.index = self.row_order[i] * col_key.size + self.col_order[j]
+        first = _first_of_runs(self.row_key[i])
+        last = np.append(first[1:], i.size) - 1
+        self.keys = self.row_key[i[first]]
+        self.row_lo, self.row_hi = i[first], i[last] + 1
+        self.col_lo, self.col_hi = j[first], j[last] + 1
+        self.offsets = np.append(first, i.size)
+        self.size = i.size
+        self.charges = np.asarray(row_q)[self.row_order[self.row_lo]]
+
+    def gather(self, M):
+        """Block vector of the allowed entries of M (any shape whose
+        row-major ravel is the matrix)."""
+        return M.ravel()[self.index]
+
+    def views(self, x):
+        """The blocks of a block vector, as matrices sharing its memory."""
+        return [
+            x[lo:hi].reshape(r1 - r0, c1 - c0)
+            for lo, hi, r0, r1, c0, c1 in zip(
+                self.offsets[:-1], self.offsets[1:],
+                self.row_lo, self.row_hi, self.col_lo, self.col_hi,
+            )
+        ]
+
+    def svd(self, x):
+        """Thin SVD (U, s, Vt) of every block of a block vector."""
+        return [np.linalg.svd(M, full_matrices=False) for M in self.views(x)]
+
+    def factors(self, svds, kept=None):
+        """Dense factors from the leading ``kept[n]`` vectors of block n.
+
+        Returns (U, s, Vt, charges): U of shape (rows, k) and Vt of shape
+        (k, cols), zero outside the blocks, the k kept singular values
+        and the charge of each new index, all in block order.  ``kept``
+        defaults to every vector of every block.
+        """
+        if kept is None:
+            kept = [sv[1].size for sv in svds]
+        k = int(np.sum(kept))
+        U = np.zeros((self.row_order.size, k))
+        Vt = np.zeros((k, self.col_order.size))
+        s = np.empty(k)
+        ofs = 0
+        for n, (Ub, sb, Vtb) in enumerate(svds):
+            kb = int(kept[n])
+            U[self.row_order[self.row_lo[n]:self.row_hi[n]], ofs:ofs + kb] = Ub[:, :kb]
+            Vt[ofs:ofs + kb, self.col_order[self.col_lo[n]:self.col_hi[n]]] = Vtb[:kb]
+            s[ofs:ofs + kb] = sb[:kb]
+            ofs += kb
+        return U, s, Vt, np.repeat(self.charges, kept, axis=0)
 
 
 @dataclass
@@ -104,23 +192,6 @@ def allowed_mask_site(qL, qsite, qR):
     return np.all(lhs == qR[None, None, :, :], axis=-1)
 
 
-def blockwise_svd(M, row_charges, col_charges):
-    """SVD of a charge-block matrix, block by block.
-
-    Returns (q, row_idx, col_idx, U, s, Vt) tuples in ascending charge
-    order.  Rows or columns whose charge has no partner on the other side
-    carry no weight in a consistent state and are skipped.
-    """
-    rg = group_rows(row_charges)
-    cg = group_rows(col_charges)
-    blocks = []
-    for q in sorted(set(rg) & set(cg)):
-        ri, ci = rg[q], cg[q]
-        U, s, Vt = np.linalg.svd(M[np.ix_(ri, ci)], full_matrices=False)
-        blocks.append((q, ri, ci, U, s, Vt))
-    return blocks
-
-
 def _split_site_right(T, qL, qsite, qR):
     """Factor T = A . carry with A left-isometric per block.
 
@@ -129,25 +200,10 @@ def _split_site_right(T, qL, qsite, qR):
     the Schmidt coefficients of the bond to the right of this site when
     the rest of the chain is canonical.
     """
-    l, d, r = T.shape
-    nq = qL.shape[1]
-    M = T.reshape(l * d, r)
-    row_q = (qL[:, None, :] + qsite[None, :, :]).reshape(l * d, nq)
-    blocks = blockwise_svd(M, row_q, qR)
-    k_total = sum(b[4].size for b in blocks)
-    A = np.zeros((l * d, k_total))
-    carry = np.zeros((k_total, r))
-    q_new = np.zeros((k_total, nq), dtype=np.int64)
-    s_all = np.empty(k_total)
-    ofs = 0
-    for q, ri, ci, U, s, Vt in blocks:
-        k = s.size
-        A[ri, ofs : ofs + k] = U
-        carry[np.ix_(np.arange(ofs, ofs + k), ci)] = s[:, None] * Vt
-        q_new[ofs : ofs + k] = q
-        s_all[ofs : ofs + k] = s
-        ofs += k
-    return A.reshape(l, d, k_total), carry, q_new, s_all
+    l, d, _ = T.shape
+    blocks = ChargeBlocks((qL[:, None] + qsite).reshape(l * d, -1), qR)
+    A, s, Vt, q_new = blocks.factors(blocks.svd(blocks.gather(T)))
+    return A.reshape(l, d, -1), s[:, None] * Vt, q_new, s
 
 
 def _split_site_left(T, qL, qsite, qR):
@@ -156,25 +212,10 @@ def _split_site_left(T, qL, qsite, qR):
     Returns (B, carry, new_bond_charges, singular_values); the new bond is
     the one to the left of this site.
     """
-    l, d, r = T.shape
-    nq = qL.shape[1]
-    M = T.reshape(l, d * r)
-    col_q = (qR[None, :, :] - qsite[:, None, :]).reshape(d * r, nq)
-    blocks = blockwise_svd(M, qL, col_q)
-    k_total = sum(b[4].size for b in blocks)
-    B = np.zeros((k_total, d * r))
-    carry = np.zeros((l, k_total))
-    q_new = np.zeros((k_total, nq), dtype=np.int64)
-    s_all = np.empty(k_total)
-    ofs = 0
-    for q, ri, ci, U, s, Vt in blocks:
-        k = s.size
-        B[np.ix_(np.arange(ofs, ofs + k), ci)] = Vt
-        carry[ri, ofs : ofs + k] = U * s[None, :]
-        q_new[ofs : ofs + k] = q
-        s_all[ofs : ofs + k] = s
-        ofs += k
-    return B.reshape(k_total, d, r), carry, q_new, s_all
+    _, d, r = T.shape
+    blocks = ChargeBlocks(qL, (qR - qsite[:, None]).reshape(d * r, -1))
+    U, s, B, q_new = blocks.factors(blocks.svd(blocks.gather(T)))
+    return B.reshape(-1, d, r), U * s, q_new, s
 
 
 def shift_center_right(mps, collect=None):

@@ -343,7 +343,7 @@ def test_12_identical_seeds_give_identical_csv(tmp_path, xxz_l32_path):
         # still writing the checkpoint and log it is asked for
         assert rc in (0, 3)
         rc = cli.main(
-            ["scan", ckpt, xxz_l32_path, "--threads", "1", "--out", curve]
+            ["scan", ckpt, xxz_l32_path, "--out", curve]
         )
         assert rc == 0
         outputs.append(

@@ -11,6 +11,10 @@ from esgan.solver import (
     schmidt_decompose,
 )
 from esgan.solver.mps import (
+    _split_site_left,
+    _split_site_right,
+    allowed_mask_site,
+    charge_keys,
     check_charge_consistency,
     copy_mps,
     entropy_profile,
@@ -203,6 +207,44 @@ def test_blocked_h_eff_matches_dense_oracle(model_id):
         y = TwoSiteHeff(blocks, channels).load(EL, ER).matvec(blocks.gather(theta))
         ref = blocks.gather(apply_h_eff_dense(theta, EL, mpo[1], mpo[2], ER, mask))
         assert np.abs(y - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("model_id", ["xxz", "bh", "bh2s"])
+def test_gauge_moves_factor_site_tensors_per_charge_block(model_id):
+    # random charge-consistent site tensors; the bonds share three charges
+    # and draw the rest, so several blocks of several sizes occur
+    spec = build_model(model_id, L=4, control=0.7)
+    qsite = spec.site_charge_array()
+    d = qsite.shape[0]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        qL = rng.integers(0, 3, size=(6, spec.n_charges))
+        qL[:3] = np.arange(3)[:, None]
+        sums = (qL[:, None] + qsite).reshape(-1, spec.n_charges)
+        qR = np.concatenate([qL[:3] + qsite[0], sums[rng.integers(0, sums.shape[0], size=4)]])
+        mask = allowed_mask_site(qL, qsite, qR)
+        T = rng.standard_normal(mask.shape) * mask
+        l, r = T.shape[0], T.shape[2]
+
+        A, carry, q_new, s = _split_site_right(T, qL, qsite, qR)
+        k = q_new.shape[0]
+        assert np.abs(np.tensordot(A, carry, axes=([2], [0])) - T).max() < 1e-13
+        Am = A.reshape(l * d, k)
+        assert np.abs(Am.T @ Am - np.eye(k)).max() < 1e-13
+        assert not A[~allowed_mask_site(qL, qsite, q_new)].any()
+        assert not carry[~np.all(q_new[:, None] == qR[None], axis=-1)].any()
+        assert np.all(np.diff(charge_keys(q_new)) >= 0)
+        assert np.unique(charge_keys(q_new)).size > 1
+
+        B, carry, q_new, s = _split_site_left(T, qL, qsite, qR)
+        k = q_new.shape[0]
+        assert np.abs(np.tensordot(carry, B, axes=([1], [0])) - T).max() < 1e-13
+        Bm = B.reshape(k, d * r)
+        assert np.abs(Bm @ Bm.T - np.eye(k)).max() < 1e-13
+        assert not B[~allowed_mask_site(q_new, qsite, qR)].any()
+        assert not carry[~np.all(qL[:, None] == q_new[None], axis=-1)].any()
+        assert np.all(np.diff(charge_keys(q_new)) >= 0)
+        assert np.unique(charge_keys(q_new)).size > 1
 
 
 def test_two_species_four_sites_matches_ed_with_clean_charges():

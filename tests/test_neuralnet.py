@@ -1,6 +1,9 @@
 """Layer-level forward/backward checks against hand-worked values and a
 central finite-difference oracle."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,33 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     save_checkpoint(path2, meta2, arrays2)
     with open(path1, "rb") as f1, open(path2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_checkpoint_rejects_malformed_lines_naming_path_and_line(tmp_path):
+    good = str(tmp_path / "good.ckpt")
+    save_checkpoint(
+        good, {"label": "x", "seed": 3},
+        {"W": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
+    )
+    assert sorted(os.listdir(tmp_path)) == ["good.ckpt"]  # no temp file left
+    lines = open(good).read().splitlines()
+    # 1 magic, 2-3 meta, 4 array W header, 5 values, 6 array b header, 7 values
+    assert lines[3].startswith("array W") and lines[5].startswith("array b")
+    bad_hex = lines[4].split()
+    bad_hex[2] = "0x1.zzp+0"
+    cases = {
+        "blank": (lines[:2] + [""] + lines[2:], 3),
+        "ends_after_header": (lines[:4], 4),
+        "bad_hex": (lines[:4] + [" ".join(bad_hex)] + lines[5:], 5),
+        "short_array": (lines[:6] + [" ".join(lines[6].split()[:-1])], 7),
+        "bad_meta": (lines[:2] + ["meta seed int three"] + lines[3:], 3),
+    }
+    for name, (text, line) in cases.items():
+        path = str(tmp_path / f"{name}.ckpt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

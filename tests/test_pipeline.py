@@ -1,6 +1,7 @@
 """File formats, sweep resume semantics, command orchestration, CLI
 behavior and exit codes, all at toy sizes."""
 
+import io
 import os
 import re
 import shlex
@@ -197,6 +198,21 @@ def test_generate_interrupted_then_resumed_equals_uninterrupted(tmp_path):
     a_rec = a[a.index(b"[record]"):]
     b_rec = b[b.index(b"[record]"):]
     assert a_rec == b_rec
+
+
+def test_generate_logs_unconverged_points_and_keeps_them(tmp_path):
+    # two warm-up sweeps leave a single full-size sweep, too few to judge
+    # convergence, so every point ends unconverged
+    cfg = SweepConfig(
+        model_id="xxz", L=6, control_min=-1.0, control_max=0.0, count=3,
+        chi_max=16, max_sweeps=3, out_path=str(tmp_path / "u.ds"),
+    )
+    log = io.StringIO()
+    ds, path = generate(cfg, log=log)
+    assert len(read_dataset(path).records) == len(ds.records) == 3
+    assert log.getvalue().splitlines() == [
+        f"[generate] {c:g} not converged in 3 sweeps" for c in (-1.0, -0.5, 0.0)
+    ]
 
 
 def test_generate_returns_what_the_file_holds(tmp_path):
