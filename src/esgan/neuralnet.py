@@ -400,8 +400,7 @@ def save_checkpoint(path, meta, arrays):
             lines.append(f"meta {key} str {val}")
     for key in sorted(arrays):
         a = np.asarray(arrays[key], dtype=float)
-        shape = " ".join(str(n) for n in a.shape)
-        lines.append(f"array {key} {len(a.shape)} {shape}")
+        lines.append(" ".join(["array", key, str(a.ndim), *map(str, a.shape)]))
         lines.append(" ".join(x.hex() for x in a.ravel()))
     text = "\n".join(lines) + "\n"
     tmp = path + ".tmp"
@@ -439,9 +438,8 @@ def load_checkpoint(path):
             except ValueError:
                 raise ValueError(f"{where}: bad {kind} value {raw!r}") from None
             i += 1
-        elif len(parts) == 4 and parts[0] == "array":
-            _, key, ndim, rest = parts
-            dims = rest.split()
+        elif len(parts) >= 3 and parts[0] == "array":
+            _, key, ndim, *dims = lines[i].split()  # a 0-d array has no dims
             if not all(x.isdigit() for x in [ndim, *dims]) or len(dims) != int(ndim):
                 raise ValueError(f"{where}: bad shape for array {key!r}")
             shape = tuple(int(x) for x in dims)

@@ -4,7 +4,7 @@ Datasets are self-describing structured text: a header block followed by
 one record block per control-parameter value, every float hex-encoded so
 write -> read round-trips exactly.  All writes go through a temp file and
 os.replace, which makes interrupted sweeps resumable: grid points whose
-control value already sits in the file are skipped on rerun.
+control value already sits in the file are not recorded again on rerun.
 
 The command functions (generate, train_cmd, scan_cmd, stability_cmd,
 kl_cmd, towers_cmd) hold the orchestration logic; the CLI in ``cli`` is a
@@ -285,26 +285,40 @@ def read_dataset(path):
 
 # ---------------------------------------------------------------- generate
 
-def _solve_point(cfg, control):
-    """(spectrum, converged, sweeps) of one grid point."""
+# Consecutive grid points are solved in chunks of CHUNK: the first point
+# of a chunk starts cold, every later one from its predecessor's converged
+# state, and the dataset is written once per chunk.  Longer chunks save
+# more warm-up sweeps and file writes; shorter ones lose less work to an
+# interruption, since a chunk with a missing record is solved again from
+# its first point to rebuild the same chain.
+CHUNK = 16
+
+
+def _solve_point(cfg, control, psi0=None):
+    """Ground state MPS of one grid point, warm-started from ``psi0``."""
     spec = build_model(cfg.model_id, cfg.L, control, n_max=cfg.n_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # generate logs non-convergence
-        psi = dmrg_ground_state(spec, cfg.dmrg_config())
-    return schmidt_decompose(psi), psi.converged, psi.stats["sweeps"]
+        return dmrg_ground_state(spec, cfg.dmrg_config(), psi0=psi0)
 
 
 def generate(cfg, log=None):
     """Run the sweep, appending to an existing dataset file if present.
 
-    A grid point whose exact control value already has a record is
-    skipped; a point whose solver run raises is logged and skipped, and
-    the sweep continues.  A point whose solver did not converge is logged
-    and kept.  The file on disk is rewritten atomically after every
-    completed point, so interrupting and rerunning loses at most the
-    point in flight.  The returned dataset keeps its records sorted
-    by control value, as the file does, and equals what reading the file
-    back gives.
+    The grid is walked in chunks of CHUNK consecutive points.  The first
+    point of a chunk starts from a product state, every later one from the
+    converged state of the point before it; a point whose predecessor
+    failed or did not converge starts cold as well.  A chunk that lacks a
+    record is solved from its first point through its last missing one:
+    points that already have a record are solved again only to carry the
+    chain, and their records stay as they are, so a resumed sweep writes
+    the same bytes as an uninterrupted one.  A point whose solver run
+    raises is logged and skipped, and the sweep continues; a point whose
+    solver did not converge is logged and kept.  The file on disk is
+    rewritten atomically once per chunk, so interrupting and rerunning
+    loses at most the chunk in flight.  The returned dataset keeps its
+    records sorted by control value, as the file does, and equals what
+    reading the file back gives.
     """
     log = log if log is not None else sys.stderr
     path = cfg.out_path
@@ -335,23 +349,42 @@ def generate(cfg, log=None):
             seed=cfg.seed,
         )
     have = {r.control_value for r in ds.records}
-    todo = [float(c) for c in cfg.grid() if float(c) not in have]
-    if not todo:
+    grid = [float(c) for c in cfg.grid()]
+    n_todo = sum(c not in have for c in grid)
+    if not n_todo:
         return ds, path
 
     failures = 0
-    for control in todo:
-        try:
-            rec, converged, sweeps = _solve_point(cfg, control)
-        except Exception as exc:  # noqa: BLE001 - sweep must survive a point
-            failures += 1
-            print(f"[generate] {control:g} failed: {exc}", file=log)
+    for start in range(0, len(grid), CHUNK):
+        chunk = grid[start:start + CHUNK]
+        missing = [n for n, c in enumerate(chunk) if c not in have]
+        if not missing:
             continue
-        if not converged:
-            print(f"[generate] {control:g} not converged in {sweeps} sweeps", file=log)
-        bisect.insort(ds.records, rec, key=_control)
-        write_dataset(path, ds)
-    if failures == len(todo):
+        n_records = len(ds.records)
+        psi = None
+        for control in chunk[:missing[-1] + 1]:
+            new = control not in have
+            try:
+                psi = _solve_point(cfg, control, psi)
+            except Exception as exc:  # noqa: BLE001 - sweep must survive a point
+                psi = None
+                if new:
+                    failures += 1
+                    print(f"[generate] {control:g} failed: {exc}", file=log)
+                continue
+            if new:
+                if not psi.converged:
+                    print(
+                        f"[generate] {control:g} not converged in "
+                        f"{psi.stats['sweeps']} sweeps",
+                        file=log,
+                    )
+                bisect.insort(ds.records, schmidt_decompose(psi), key=_control)
+            if not psi.converged:
+                psi = None  # an unconverged state seeds nothing
+        if len(ds.records) > n_records:
+            write_dataset(path, ds)
+    if failures == n_todo:
         raise SolverError(f"all {failures} grid points failed")
     return ds, path
 

@@ -26,10 +26,13 @@ are gathered (TwoSiteHeff).  The split SVDs each block where it lies and
 truncates across all of them; the kept vectors become dense site tensors
 with charge labels, as are the environments (see mps.py).
 
-The search starts from a product state in the target sector; the first
-``warmup_sweeps`` sweeps run at a reduced bond dimension and add a small
-seeded random perturbation to each two-site block, so charge sectors
-absent from the product start become reachable.
+A cold search starts from a product state in the target sector; the
+first ``warmup_sweeps`` sweeps run at a reduced bond dimension and add a
+small seeded random perturbation to each two-site block, so charge sectors
+absent from the product start become reachable.  A warm search starts
+from a given MPS, typically the converged state of a nearby control value,
+which already spans the sectors that matter: it skips the warm-up sweeps
+and the noise and sweeps at full bond dimension from the first sweep.
 """
 
 import warnings
@@ -39,7 +42,7 @@ import numpy as np
 
 from ..models import expanded_terms
 from .lanczos import lowest_eigenpair
-from .mps import ChargeBlocks, charge_keys, mps_norm, product_mps
+from .mps import ChargeBlocks, MPSState, charge_keys, move_center, mps_norm, product_mps
 
 
 @dataclass(frozen=True)
@@ -354,20 +357,57 @@ def split_two_site(blocks, x, chi_max, cutoff):
     return U.reshape(l, d1, -1), s, Vt.reshape(-1, d2, r), q_new, discarded
 
 
-def dmrg_ground_state(spec, config=None):
+def _warm_start(spec, psi0):
+    """Copy of ``psi0`` as the initial state of a search for ``spec``,
+    with its canonical center at site 0.
+
+    A solve leaves its center at site 0 already, so its final state needs
+    no gauge move.  Raises ValueError when ``psi0`` has another length,
+    local basis or charge sector than ``spec``.
+    """
+    if psi0.L != spec.L:
+        raise ValueError(f"psi0 has {psi0.L} sites, the model has {spec.L}")
+    if not np.array_equal(psi0.spec.site_charge_array(), spec.site_charge_array()):
+        raise ValueError("psi0 has another local basis than the model")
+    sector = tuple(int(c) for c in psi0.bond_charges[-1].ravel())
+    if sector != tuple(spec.target_sector):
+        raise ValueError(
+            f"psi0 lies in sector {sector}, the model targets {tuple(spec.target_sector)}"
+        )
+    psi = MPSState(
+        site_tensors=[T.copy() for T in psi0.site_tensors],
+        bond_charges=[q.copy() for q in psi0.bond_charges],
+        canonical_center=psi0.canonical_center,
+        spec=spec,
+    )
+    move_center(psi, 0)
+    return psi
+
+
+def dmrg_ground_state(spec, config=None, psi0=None):
     """Ground state of the target charge sector as a charge-labeled MPS.
 
     Runs up to ``config.max_sweeps`` full (right + left) sweeps and stops
     once the per-sweep energy estimate changes by less than
-    ``config.energy_tol``.  The returned state carries the exact
-    variational energy <H>, the accumulated truncated weight, per-sweep
-    energies, and a ``converged`` flag; non-convergence also raises a
-    ConvergenceWarning but still returns the state.
+    ``config.energy_tol``.  Without ``psi0`` the search starts cold from a
+    product state with ``config.warmup_sweeps`` noisy warm-up sweeps; with
+    it, the search starts from a copy of ``psi0`` (say the converged state
+    of a neighbouring control value) and runs full sweeps only, so it can
+    stop after two.  ``psi0`` is left untouched; one of another length,
+    local basis or sector raises ValueError.  The returned state carries
+    the exact variational energy <H>, the accumulated truncated weight,
+    per-sweep energies, and a ``converged`` flag; non-convergence also
+    raises a ConvergenceWarning but still returns the state.
     """
     if config is None:
         config = DmrgConfig()
+    if psi0 is None:
+        psi = product_mps(spec, seed=config.seed)
+        n_warmup = config.warmup_sweeps
+    else:
+        psi = _warm_start(spec, psi0)
+        n_warmup = 0
     mpo = build_mpo(spec)
-    psi = product_mps(spec, seed=config.seed)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     qsite = spec.site_charge_array()
     L = spec.L
@@ -385,9 +425,9 @@ def dmrg_ground_state(spec, config=None):
     sweep_energy_prev = None
     converged = False
     for sweep in range(config.max_sweeps):
-        warm = sweep < config.warmup_sweeps
-        chi = min(config.warmup_chi, config.chi_max) if warm else config.chi_max
-        max_restarts = 2 if warm else 12
+        warmup = sweep < n_warmup
+        chi = min(config.warmup_chi, config.chi_max) if warmup else config.chi_max
+        max_restarts = 2 if warmup else 12
         energy = None
         for direction in ("right", "left"):
             bonds = range(L - 1) if direction == "right" else range(L - 2, -1, -1)
@@ -399,7 +439,7 @@ def dmrg_ground_state(spec, config=None):
                     heff = layouts[i] = TwoSiteHeff(TwoSiteBlocks(qL, qsite, qR), channels[i])
                 heff.load(EL[i], ER[i + 2])
                 blocks = heff.blocks
-                if warm and config.noise_scale > 0.0:
+                if warmup and config.noise_scale > 0.0:
                     theta = theta + config.noise_scale * rng.standard_normal(theta.shape)
                 x = blocks.gather(theta)
                 nrm = np.linalg.norm(x)
@@ -430,7 +470,7 @@ def dmrg_ground_state(spec, config=None):
                     psi.canonical_center = i
                     ER[i + 1] = _contract_right(ER[i + 2], Vt3, mpo[i + 1])
         psi.sweep_energies.append(float(energy))
-        if not warm and sweep_energy_prev is not None:
+        if not warmup and sweep_energy_prev is not None:
             if energy > sweep_energy_prev + config.energy_tol:
                 warnings.warn(
                     f"sweep energy rose by {energy - sweep_energy_prev:.3e}; "
@@ -440,7 +480,7 @@ def dmrg_ground_state(spec, config=None):
             if abs(energy - sweep_energy_prev) < config.energy_tol:
                 converged = True
                 break
-        if not warm:
+        if not warmup:
             sweep_energy_prev = energy
     psi.converged = converged
     psi.truncation_error = total_discard

@@ -4,7 +4,10 @@ The acceptance tests need DMRG sweeps over full control-parameter grids,
 which take minutes per system size.  Datasets are generated once into
 tests/.cache/ and reused on subsequent runs; delete the directory to force
 regeneration.  generate skips the grid points a file already holds, so a
-complete cache costs one read per segment and an interrupted one resumes.
+complete cache costs one read per segment and an interrupted one resumes
+from the chunk of 16 grid points it was writing (generate warm-starts
+each point of a chunk from the one before, and writes the file once per
+chunk).
 Grids are denser inside the training/validation windows than in the far
 gapped region, which keeps generation affordable without starving the
 detector of training points.

@@ -1,5 +1,7 @@
 """Two-site DMRG against exact diagonalization and free-fermion results."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,35 @@ def test_two_species_four_sites_matches_ed_with_clean_charges():
     psi = run(spec, chi_max=64, svd_cutoff=1e-13, energy_tol=1e-12, seed=3)
     assert abs(psi.energy - e_ed) < 1e-9
     assert check_charge_consistency(psi) == 0.0
+
+
+@pytest.mark.parametrize(
+    "model_id, L, neighbour, control",
+    [("xxz", 10, -0.95, -0.9), ("bh", 8, 3.3, 3.4)],
+    ids=["xxz", "bh"],
+)
+def test_warm_start_from_neighbour_converges_in_two_sweeps(model_id, L, neighbour, control):
+    cfg = DmrgConfig(chi_max=64, seed=2)
+    psi0 = dmrg_ground_state(build_model(model_id, L, neighbour), cfg)
+    before = [T.copy() for T in psi0.site_tensors]
+    spec = build_model(model_id, L, control)
+    cold = dmrg_ground_state(spec, cfg)
+    warm = dmrg_ground_state(spec, cfg, psi0=psi0)
+    assert warm.converged and warm.stats["sweeps"] == 2
+    assert abs(warm.energy - cold.energy) < cfg.energy_tol
+    assert warm.spec is spec and check_charge_consistency(warm) == 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(before, psi0.site_tensors))
+
+
+def test_warm_start_rejects_wrong_length_basis_or_sector():
+    cfg = DmrgConfig(chi_max=16)
+    psi0 = dmrg_ground_state(build_model("xxz", 6, -0.5), cfg)
+    spec = build_model("xxz", 6, -0.4)
+    for other, match in [
+        (build_model("xxz", 8, -0.4), "sites"),
+        (build_model("bh", 6, 2.0), "local basis"),
+        (dataclasses.replace(spec, target_sector=(2,)), "sector"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            dmrg_ground_state(other, cfg, psi0=psi0)
+    assert dmrg_ground_state(spec, cfg, psi0=psi0).converged

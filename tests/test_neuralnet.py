@@ -278,13 +278,17 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     arrays = {
         "W": rng.normal(size=(4, 3)),
         "b": rng.normal(size=4),
+        "x": np.array(2.0),  # 0-d: a header without shape tokens
     }
     path1 = str(tmp_path / "a.ckpt")
     path2 = str(tmp_path / "b.ckpt")
     save_checkpoint(path1, meta, arrays)
+    lines = open(path1).read().splitlines()
+    assert "array W 2 4 3" in lines and "array x 0" in lines
     meta2, arrays2 = load_checkpoint(path1)
     assert meta2 == meta
     for k in arrays:
+        assert arrays2[k].shape == arrays[k].shape
         assert np.array_equal(arrays[k], arrays2[k])
     save_checkpoint(path2, meta2, arrays2)
     with open(path1, "rb") as f1, open(path2, "rb") as f2:

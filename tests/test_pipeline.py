@@ -2,6 +2,7 @@
 behavior and exit codes, all at toy sizes."""
 
 import io
+import itertools
 import os
 import re
 import shlex
@@ -10,9 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from esgan import cli
+from esgan import cli, pipeline
 from esgan.gan import ConfigError, default_train_config
+from esgan.models import build_model
 from esgan.pipeline import (
+    CHUNK,
     ConvergenceError,
     ScoreCurve,
     SpectrumDataset,
@@ -29,6 +32,7 @@ from esgan.pipeline import (
     write_curve,
     write_dataset,
 )
+from esgan.solver import ed_ground_state, schmidt_decompose
 from esgan.spectra import make_labeled_spectrum
 
 
@@ -182,22 +186,78 @@ def test_generate_resume_skips_existing_points(tmp_path):
     assert open(path, "rb").read() == before
 
 
-def test_generate_interrupted_then_resumed_equals_uninterrupted(tmp_path):
-    # straight run
-    full, path_a = tiny_sweep(tmp_path, count=5, name="a.ds")
-    # two-stage run over the same grid: first 2 points, then everything
-    cfg_head = SweepConfig(
+def _head_of_grid(tmp_path, monkeypatch, name, count):
+    # a shorter sweep over the first two points of the grid
+    generate(SweepConfig(
         model_id="xxz", L=6, control_min=-1.0, control_max=-0.75,
-        count=2, chi_max=16, out_path=str(tmp_path / "b.ds"),
-    )
-    generate(cfg_head)
-    tiny_sweep(tmp_path, count=5, name="b.ds")
+        count=2, chi_max=16, out_path=str(tmp_path / name),
+    ))
+
+
+def _stopped_in_second_chunk(tmp_path, monkeypatch, name, count):
+    # the full sweep, interrupted by the third solve of its second chunk
+    solves = itertools.count()
+    solve = pipeline.dmrg_ground_state
+
+    def interrupted(*args, **kwargs):
+        if next(solves) == CHUNK + 2:
+            raise KeyboardInterrupt
+        return solve(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "dmrg_ground_state", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            tiny_sweep(tmp_path, count=count, name=name)
+    # the chunk in flight is lost, the finished one kept
+    assert len(read_dataset(str(tmp_path / name)).records) == CHUNK
+
+
+@pytest.mark.parametrize(
+    "count, partial",
+    [(5, _head_of_grid), (CHUNK + 4, _stopped_in_second_chunk)],
+    ids=["head", "second_chunk"],
+)
+def test_generate_interrupted_then_resumed_equals_uninterrupted(
+    tmp_path, monkeypatch, count, partial
+):
+    # straight run
+    full, path_a = tiny_sweep(tmp_path, count=count, name="a.ds")
+    # the same grid after a partial run
+    partial(tmp_path, monkeypatch, "b.ds", count)
+    tiny_sweep(tmp_path, count=count, name="b.ds")
     with open(path_a, "rb") as fa, open(tmp_path / "b.ds", "rb") as fb:
         a, b = fa.read(), fb.read()
     # headers record each sweep's grid origin; records must match exactly
     a_rec = a[a.index(b"[record]"):]
     b_rec = b[b.index(b"[record]"):]
     assert a_rec == b_rec
+
+
+def _spectrum_table(spectrum):
+    return {(e.charge, e.k): e.p for e in spectrum.entries}
+
+
+@pytest.mark.parametrize(
+    "model_id, L, lo, hi, step",
+    [("xxz", 8, -1.1, -0.9, 0.025), ("bh", 6, 3.0, 3.8, 0.1)],
+    ids=["xxz_bkt", "bh_bkt"],
+)
+def test_warm_started_chains_match_ed_across_transitions(tmp_path, model_id, L, lo, hi, step):
+    cfg = SweepConfig(
+        model_id=model_id, L=L, control_min=lo, control_max=hi, step=step,
+        svd_cutoff=0.0, out_path=str(tmp_path / "chain.ds"),
+    )
+    assert 1 < cfg.grid().size <= CHUNK  # one chunk: every later point is warm
+    ds, _ = generate(cfg)
+    assert len(ds.records) == cfg.grid().size
+    for rec in ds.records:
+        _, state = ed_ground_state(build_model(model_id, L, rec.control_value))
+        got, want = _spectrum_table(rec), _spectrum_table(schmidt_decompose(state))
+        for key in got.keys() | want.keys():
+            if max(got.get(key, 0.0), want.get(key, 0.0)) > 1e-10:
+                assert abs(got.get(key, 0.0) - want.get(key, 0.0)) < 1e-9, (
+                    rec.control_value, key
+                )
 
 
 def test_generate_logs_unconverged_points_and_keeps_them(tmp_path):
