@@ -311,10 +311,13 @@ def generate(cfg, log=None):
     failed or did not converge starts cold as well.  A chunk that lacks a
     record is solved from its first point through its last missing one:
     points that already have a record are solved again only to carry the
-    chain, and their records stay as they are, so a resumed sweep writes
-    the same bytes as an uninterrupted one.  A point whose solver run
-    raises is logged and skipped, and the sweep continues; a point whose
-    solver did not converge is logged and kept.  The file on disk is
+    chain, and their records stay as they are, so rerunning the same grid
+    after an interruption writes the same bytes as an uninterrupted run.
+    Chunk boundaries and chain predecessors follow ``cfg.grid()``, so
+    points added to a file by a different grid are seeded from that
+    grid's neighbours.  A point whose solver run raises is logged and
+    skipped, and the sweep continues; a point whose solver did not
+    converge is logged and kept.  The file on disk is
     rewritten atomically once per chunk, so interrupting and rerunning
     loses at most the chunk in flight.  The returned dataset keeps its
     records sorted by control value, as the file does, and equals what
