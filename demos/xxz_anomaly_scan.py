@@ -15,7 +15,14 @@ import os
 import numpy as np
 
 from esgan.gan import default_train_config, leftmost_crossing, scan, split_windows, train
-from esgan.pipeline import SweepConfig, dataset_features, generate, read_dataset
+from esgan.pipeline import (
+    ScoreCurve,
+    SweepConfig,
+    dataset_features,
+    generate,
+    read_dataset,
+    write_curve,
+)
 
 L = 16
 STEP = 0.0125  # ~53 training records; coarser sweeps starve the optimizer
@@ -66,11 +73,7 @@ def main():
         print(f"{c[i]:8.3f} {s[i]:10.2e}  {bar}{mark}")
 
     out = os.path.join(OUT_DIR, f"xxz_L{L}_scores.csv")
-    with open(out, "w") as fh:
-        fh.write("control_value,anomaly_score,score_percent\n")
-        for r in rows:
-            fh.write(f"{r['control_value']!r},{r['anomaly_score']!r},"
-                     f"{r['score_percent']!r}\n")
+    write_curve(out, ScoreCurve(rows=rows))
     print(f"\nscore curve -> {out}")
 
 

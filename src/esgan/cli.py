@@ -15,18 +15,12 @@ outputs land in $ESGAN_DATA_DIR (default: the working directory).
 """
 
 import argparse
+import dataclasses
 import sys
 
 from . import pipeline
-from .gan import ConfigError, default_train_config
+from .gan import ConfigError, TrainConfig, default_train_config
 from .pipeline import ConvergenceError, SolverError, SweepConfig
-
-
-def _add_config_arg(p):
-    p.add_argument(
-        "--config",
-        help="file of 'key value' lines applied as defaults for the flags",
-    )
 
 
 def build_parser():
@@ -43,13 +37,11 @@ def build_parser():
     p.add_argument("--max", type=float, dest="control_max")
     p.add_argument("--step", type=float)
     p.add_argument("--count", type=int)
-    p.add_argument("--chi-max", type=int, default=64)
-    p.add_argument("--svd-cutoff", type=float, default=1e-10)
-    p.add_argument("--max-sweeps", type=int, default=12)
+    p.add_argument("--chi-max", type=int)
+    p.add_argument("--svd-cutoff", type=float)
+    p.add_argument("--max-sweeps", type=int)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out")
-    _add_config_arg(p)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("train", help="fit a detector on a dataset")
     p.add_argument("dataset")
@@ -57,44 +49,40 @@ def build_parser():
                    metavar=("LO", "HI"))
     p.add_argument("--val-window", type=float, nargs=2, required=True,
                    metavar=("LO", "HI"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--epochs-max", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--no-adversarial", action="store_true",
-                   help="plain reconstruction training, same schedule")
-    p.add_argument("--out")
+    p.add_argument("--no-adversarial", dest="adversarial", action="store_false",
+                   default=None, help="plain reconstruction training, same schedule")
     p.add_argument("--log")
-    _add_config_arg(p)
 
     p = sub.add_parser("scan", help="score a dataset with a detector")
     p.add_argument("checkpoint")
     p.add_argument("dataset")
     p.add_argument("--kl", action="store_true",
                    help="append the divergence baseline column")
-    p.add_argument("--out")
-    _add_config_arg(p)
 
     p = sub.add_parser("stability", help="retrain across several windows")
     p.add_argument("dataset")
     p.add_argument("--window", type=float, nargs=2, action="append",
                    required=True, metavar=("LO", "HI"),
                    help="training window; give two or more")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    _add_config_arg(p)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("kl", help="divergence of each spectrum from the origin")
     p.add_argument("dataset")
-    p.add_argument("--out")
-    _add_config_arg(p)
 
     p = sub.add_parser("towers", help="rescaled tower table at one point")
     p.add_argument("dataset")
     p.add_argument("--control", type=float, required=True)
     p.add_argument("--channel", choices=["density", "spin"])
-    p.add_argument("--out")
-    _add_config_arg(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output file (default: under $ESGAN_DATA_DIR)")
+        p.add_argument(
+            "--config",
+            help="file of 'key value' lines applied as defaults for the flags",
+        )
     return parser
 
 
@@ -110,13 +98,15 @@ def _apply_config_file(parser, args, argv):
     entries = {}
     try:
         with open(args.config) as fh:
-            for raw in fh:
+            for n, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 key, *vals = line.split()
                 if not vals:
-                    raise ConfigError(f"config line needs a value: {raw!r}")
+                    raise ConfigError(
+                        f"{args.config}:{n}: config line needs a value: {raw!r}"
+                    )
                 entries[key.replace("-", "_")] = vals
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -129,6 +119,13 @@ def _apply_config_file(parser, args, argv):
     return parser.parse_args(rebuilt)
 
 
+def _given(args, config_class):
+    """The flags set on the command line or in --config that name a field
+    of ``config_class``."""
+    names = {f.name for f in dataclasses.fields(config_class)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def run(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -136,43 +133,18 @@ def run(argv=None):
     args = _apply_config_file(parser, args, argv)
 
     if args.command == "generate":
-        if args.control_min is None or args.control_max is None:
-            lo, hi, step = pipeline.DEFAULT_GRIDS[args.model]
-            if args.control_min is None:
-                args.control_min = lo
-            if args.control_max is None:
-                args.control_max = hi
-            if args.step is None and args.count is None:
-                args.step = step
-        elif args.step is None and args.count is None:
-            args.step = pipeline.DEFAULT_GRIDS[args.model][2]
-        cfg = SweepConfig(
-            model_id=args.model,
-            L=args.length,
-            control_min=args.control_min,
-            control_max=args.control_max,
-            step=args.step,
-            count=args.count,
-            chi_max=args.chi_max,
-            svd_cutoff=args.svd_cutoff,
-            max_sweeps=args.max_sweeps,
-            n_max=args.n_max,
-            seed=args.seed,
-            out_path=args.out,
-        )
+        # flags left unset fall back to default_sweep's grid and
+        # SweepConfig's defaults; a given count replaces the default step
+        given = _given(args, SweepConfig)
+        if args.count is not None:
+            given.setdefault("step", None)
+        cfg = pipeline.default_sweep(args.model, args.length, out_path=args.out, **given)
         ds, path = pipeline.generate(cfg)
         print(f"{len(ds.records)} records -> {path}")
 
     elif args.command == "train":
         ds = pipeline.read_dataset(args.dataset)
-        overrides = {"seed": args.seed}
-        if args.epochs_max is not None:
-            overrides["epochs_max"] = args.epochs_max
-        if args.batch_size is not None:
-            overrides["batch_size"] = args.batch_size
-        if args.no_adversarial:
-            overrides["adversarial"] = False
-        cfg = default_train_config(ds.model_id, **overrides)
+        cfg = default_train_config(ds.model_id, **_given(args, TrainConfig))
         det, path = pipeline.train_cmd(
             args.dataset,
             tuple(args.train_window),
@@ -196,9 +168,8 @@ def run(argv=None):
         print(f"{len(curve.rows)} points -> {path}")
 
     elif args.command == "stability":
-        cfg_kw = {"seed": args.seed}
         ds = pipeline.read_dataset(args.dataset)
-        cfg = default_train_config(ds.model_id, **cfg_kw)
+        cfg = default_train_config(ds.model_id, **_given(args, TrainConfig))
         curve, path = pipeline.stability_cmd(
             args.dataset,
             [tuple(w) for w in args.window],

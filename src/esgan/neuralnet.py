@@ -380,6 +380,15 @@ def cosine_lr(schedule, epoch):
 CHECKPOINT_MAGIC = "network checkpoint v1"
 
 
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temp file and os.replace, so an
+    interrupted write never leaves a partial file under ``path``."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path, meta, arrays):
     """Structured-text checkpoint: metadata lines + hex-float arrays.
 
@@ -402,11 +411,7 @@ def save_checkpoint(path, meta, arrays):
         a = np.asarray(arrays[key], dtype=float)
         lines.append(" ".join(["array", key, str(a.ndim), *map(str, a.shape)]))
         lines.append(" ".join(x.hex() for x in a.ravel()))
-    text = "\n".join(lines) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_meta(kind, raw):

@@ -2,9 +2,10 @@
 
 Datasets are self-describing structured text: a header block followed by
 one record block per control-parameter value, every float hex-encoded so
-write -> read round-trips exactly.  All writes go through a temp file and
-os.replace, which makes interrupted sweeps resumable: grid points whose
-control value already sits in the file are not recorded again on rerun.
+write -> read round-trips exactly.  Every file is written whole to a
+temp file and renamed into place (``neuralnet.write_atomic``), which
+makes interrupted sweeps resumable: grid points whose control value
+already sits in the file are not recorded again on rerun.
 
 The command functions (generate, train_cmd, scan_cmd, stability_cmd,
 kl_cmd, towers_cmd) hold the orchestration logic; the CLI in ``cli`` is a
@@ -23,6 +24,7 @@ import numpy as np
 from . import gan
 from .gan import ConfigError, default_train_config
 from .models import build_model
+from .neuralnet import write_atomic
 from .solver import DmrgConfig, dmrg_ground_state, schmidt_decompose
 from .spectra import (
     align_to_reference,
@@ -59,6 +61,13 @@ def data_dir():
     return os.environ.get("ESGAN_DATA_DIR", ".")
 
 
+def _output_path(out_path, model_id, L, suffix):
+    """``out_path``, or ``<data_dir>/<model_id>_L<L><suffix>`` when None."""
+    if out_path is not None:
+        return out_path
+    return os.path.join(data_dir(), f"{model_id}_L{L}{suffix}")
+
+
 # ------------------------------------------------------------------ sweeps
 
 @dataclass(frozen=True)
@@ -69,9 +78,9 @@ class SweepConfig:
     control_max: float
     step: float = None
     count: int = None
-    chi_max: int = 64
-    svd_cutoff: float = 1e-10
-    max_sweeps: int = 12
+    chi_max: int = DmrgConfig.chi_max
+    svd_cutoff: float = DmrgConfig.svd_cutoff
+    max_sweeps: int = DmrgConfig.max_sweeps
     n_max: int = None
     seed: int = 1234
     out_path: str = None
@@ -185,11 +194,7 @@ def write_dataset(path, ds):
         for e in r.entries:
             charge = " ".join(str(c) for c in e.charge)
             lines.append(f"entry {charge} {e.k} {float(e.p).hex()}")
-    text = "\n".join(lines) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 _HEADER_FIELDS = {
@@ -283,6 +288,14 @@ def read_dataset(path):
     return ds
 
 
+def _load(path):
+    """The dataset at ``path``; one without records is a ConfigError."""
+    ds = read_dataset(path)
+    if not ds.records:
+        raise ConfigError(f"{path} holds no records")
+    return ds
+
+
 # ---------------------------------------------------------------- generate
 
 # Consecutive grid points are solved in chunks of CHUNK: the first point
@@ -324,9 +337,7 @@ def generate(cfg, log=None):
     reading the file back gives.
     """
     log = log if log is not None else sys.stderr
-    path = cfg.out_path
-    if path is None:
-        path = os.path.join(data_dir(), f"{cfg.model_id}_L{cfg.L}.ds")
+    path = _output_path(cfg.out_path, cfg.model_id, cfg.L, ".ds")
     if os.path.exists(path):
         ds = read_dataset(path)
         for key, want in (
@@ -397,8 +408,6 @@ def generate(cfg, log=None):
 def dataset_features(ds, n_feat=N_FEAT, sequence=None):
     """Aligned feature vectors for every record; the sequence defaults to
     the one built from the record nearest the phase-diagram origin."""
-    if not ds.records:
-        raise ConfigError("dataset holds no records")
     if sequence is None:
         sequence = build_reference_sequence(ds.origin_record(), n_feat)
     features = [align_to_reference(r, sequence) for r in ds.records]
@@ -415,26 +424,16 @@ def train_cmd(dataset_path, train_window, val_window, cfg=None, out_path=None,
     thresholds is still checkpointed, then ConvergenceError is raised so
     the caller can exit with the dedicated status code.
     """
-    ds = read_dataset(dataset_path)
+    ds = _load(dataset_path)
     if cfg is None:
         cfg = default_train_config(ds.model_id)
     features, sequence = dataset_features(ds, n_feat)
     det = gan.train(features, cfg, train_window, val_window, sequence=sequence)
-    if out_path is None:
-        out_path = os.path.join(
-            data_dir(), f"{ds.model_id}_L{ds.L}_detector.ckpt"
-        )
+    out_path = _output_path(out_path, ds.model_id, ds.L, "_detector.ckpt")
     gan.save_detector(out_path, det)
     if log_path is None:
         log_path = out_path + ".log.csv"
-    with open(log_path + ".tmp", "w") as fh:
-        fh.write("epoch,train_loss,val_loss,lr_G,lr_D\n")
-        for row in det.history:
-            fh.write(
-                f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},"
-                f"{row['lr_G']!r},{row['lr_D']!r}\n"
-            )
-    os.replace(log_path + ".tmp", log_path)
+    write_curve(log_path, ScoreCurve(rows=det.history))
     if not det.converged:
         raise ConvergenceError(
             f"thresholds not met within {cfg.epochs_max} epochs "
@@ -460,27 +459,57 @@ def write_curve(path, curve):
     columns = list(curve.rows[0].keys())
     lines = [f"# {k} {v}" for k, v in sorted(curve.metadata.items())]
     lines.append(",".join(columns))
-    for row in curve.rows:
-        lines.append(",".join(repr(float(row[c])) for c in columns))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    for row in curve.rows:  # ints (epoch numbers) stay ints, the rest floats
+        values = [row[c] if isinstance(row[c], int) else float(row[c]) for c in columns]
+        lines.append(",".join(map(repr, values)))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_curve(path):
+    """Parse a curve file; a bad value, a row whose field count differs
+    from the header's, or a missing header raises ValueError naming
+    ``path:line``."""
     metadata, rows, columns = {}, [], None
     with open(path) as fh:
-        for line in fh.read().splitlines():
-            if line.startswith("# "):
-                key, _, val = line[2:].partition(" ")
-                metadata[key] = val
-            elif columns is None:
-                columns = line.split(",")
-            else:
-                vals = [float(tok) for tok in line.split(",")]
-                rows.append(dict(zip(columns, vals)))
+        lines = fh.read().splitlines()
+    for n, line in enumerate(lines, 1):
+        if line.startswith("# "):
+            key, _, val = line[2:].partition(" ")
+            metadata[key] = val
+        elif columns is None:
+            columns = line.split(",")
+        else:
+            tokens = line.split(",")
+            if len(tokens) != len(columns):
+                raise ValueError(
+                    f"{path}:{n}: {len(tokens)} fields, header has {len(columns)}"
+                )
+            try:
+                rows.append(dict(zip(columns, map(float, tokens))))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+    if columns is None:
+        raise ValueError(f"{path}:{len(lines) + 1}: file ends before the header line")
     return ScoreCurve(rows=rows, metadata=metadata)
+
+
+def _write_output(ds, dataset_path, suffix, out_path, rows, **metadata):
+    """Write ``rows`` as a curve whose metadata names ``dataset_path``, to
+    ``out_path`` or else to the dataset's name plus ``suffix``; returns
+    (curve, path)."""
+    curve = ScoreCurve(rows=rows, metadata={"dataset": dataset_path, **metadata})
+    out_path = _output_path(out_path, ds.model_id, ds.L, suffix)
+    write_curve(out_path, curve)
+    return curve, out_path
+
+
+def _kl_by_control(ds, sequence):
+    """KL divergence of every record from the origin record, by control."""
+    origin = ds.origin_record()
+    return {
+        r.control_value: kl_divergence(r, origin, sequence=sequence)
+        for r in ds.records
+    }
 
 
 def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
@@ -493,9 +522,7 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
     record from the origin record.  Rows come sorted by control value.
     """
     det = gan.load_detector(checkpoint_path)
-    ds = read_dataset(dataset_path)
-    if not ds.records:
-        raise ConfigError(f"{dataset_path} holds no records")
+    ds = _load(dataset_path)
     if det.model.n_feat != n_feat:
         raise ConfigError(
             "incompatible checkpoint/dataset: "
@@ -514,21 +541,12 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
         features, sequence = dataset_features(ds, n_feat)
     rows = gan.scan(det, features)
     if with_kl:
-        origin = ds.origin_record()
-        kl_by_control = {
-            r.control_value: kl_divergence(r, origin, sequence=sequence)
-            for r in ds.records
-        }
+        kl = _kl_by_control(ds, sequence)
         for row in rows:
-            row["kl_value"] = kl_by_control[row["control_value"]]
-    curve = ScoreCurve(
-        rows=rows,
-        metadata={"detector": checkpoint_path, "dataset": dataset_path},
+            row["kl_value"] = kl[row["control_value"]]
+    return _write_output(
+        ds, dataset_path, "_scan.csv", out_path, rows, detector=checkpoint_path
     )
-    if out_path is None:
-        out_path = os.path.join(data_dir(), f"{ds.model_id}_L{ds.L}_scan.csv")
-    write_curve(out_path, curve)
-    return curve, out_path
 
 
 # --------------------------------------------------------------- stability
@@ -546,7 +564,7 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
     log = log if log is not None else sys.stderr
     if len(windows) < 2:
         raise ConfigError("stability needs at least two training windows")
-    ds = read_dataset(dataset_path)
+    ds = _load(dataset_path)
     if cfg is None:
         cfg = default_train_config(ds.model_id)
     features, sequence = dataset_features(ds, n_feat)
@@ -577,42 +595,24 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
         for name, scores in columns.items():
             row[name] = scores.get(c, float("nan"))
         rows.append(row)
-    curve = ScoreCurve(rows=rows, metadata={"dataset": dataset_path, **notes})
-    if out_path is None:
-        out_path = os.path.join(
-            data_dir(), f"{ds.model_id}_L{ds.L}_stability.csv"
-        )
-    write_curve(out_path, curve)
-    return curve, out_path
+    return _write_output(ds, dataset_path, "_stability.csv", out_path, rows, **notes)
 
 
 # ---------------------------------------------------------------------- kl
 
 def kl_cmd(dataset_path, out_path=None, n_feat=N_FEAT):
     """KL divergence of every record from the origin record, as a CSV."""
-    ds = read_dataset(dataset_path)
-    if not ds.records:
-        raise ConfigError(f"{dataset_path} holds no records")
+    ds = _load(dataset_path)
     origin = ds.origin_record()
     sequence = build_reference_sequence(origin, n_feat)
     rows = [
-        {
-            "control_value": r.control_value,
-            "kl_value": kl_divergence(r, origin, sequence=sequence),
-        }
-        for r in sorted(ds.records, key=lambda r: r.control_value)
+        {"control_value": control, "kl_value": kl}
+        for control, kl in sorted(_kl_by_control(ds, sequence).items())
     ]
-    curve = ScoreCurve(
-        rows=rows,
-        metadata={
-            "dataset": dataset_path,
-            "reference_control": repr(float(origin.control_value)),
-        },
+    return _write_output(
+        ds, dataset_path, "_kl.csv", out_path, rows,
+        reference_control=repr(float(origin.control_value)),
     )
-    if out_path is None:
-        out_path = os.path.join(data_dir(), f"{ds.model_id}_L{ds.L}_kl.csv")
-    write_curve(out_path, curve)
-    return curve, out_path
 
 
 # ------------------------------------------------------------------ towers
@@ -623,9 +623,7 @@ def towers_cmd(dataset_path, control, channel=None, out_path=None):
     Picks the record nearest the requested control; columns are the
     sector label, level rank, raw xi, and the rescaled level.
     """
-    ds = read_dataset(dataset_path)
-    if not ds.records:
-        raise ConfigError(f"{dataset_path} holds no records")
+    ds = _load(dataset_path)
     record = min(ds.records, key=lambda r: abs(r.control_value - control))
     table = conformal_rescale(record, channel=channel)
     rows = [
@@ -637,17 +635,8 @@ def towers_cmd(dataset_path, control, channel=None, out_path=None):
         }
         for r in table
     ]
-    curve = ScoreCurve(
-        rows=rows,
-        metadata={
-            "dataset": dataset_path,
-            "control_value": repr(float(record.control_value)),
-            "channel": channel or "none",
-        },
+    return _write_output(
+        ds, dataset_path, "_towers.csv", out_path, rows,
+        control_value=repr(float(record.control_value)),
+        channel=channel or "none",
     )
-    if out_path is None:
-        out_path = os.path.join(
-            data_dir(), f"{ds.model_id}_L{ds.L}_towers.csv"
-        )
-    write_curve(out_path, curve)
-    return curve, out_path

@@ -45,21 +45,24 @@ from .lanczos import lowest_eigenpair
 from .mps import ChargeBlocks, MPSState, charge_keys, move_center, mps_norm, product_mps
 
 
+# Local eigensolver (Krylov dimension, residual tolerance) and warm-up
+# phase (bond dimension, scale of the noise added to each two-site block)
+LANCZOS_DIM = 20
+LANCZOS_TOL = 1e-12
+WARMUP_CHI = 16
+NOISE_SCALE = 1e-6
+
+
 @dataclass(frozen=True)
 class DmrgConfig:
-    """Knobs of the sweep solver.  Fields after ``seed`` control the local
-    eigensolver and the warm-up phase and rarely need changing."""
+    """Knobs of the sweep solver."""
 
     chi_max: int = 64
     svd_cutoff: float = 1e-10
     energy_tol: float = 1e-9
     max_sweeps: int = 12
-    lanczos_dim: int = 20
     seed: int = 0
-    lanczos_tol: float = 1e-12
     warmup_sweeps: int = 2
-    warmup_chi: int = 16
-    noise_scale: float = 1e-6
 
 
 class ConvergenceWarning(UserWarning):
@@ -426,7 +429,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     converged = False
     for sweep in range(config.max_sweeps):
         warmup = sweep < n_warmup
-        chi = min(config.warmup_chi, config.chi_max) if warmup else config.chi_max
+        chi = min(WARMUP_CHI, config.chi_max) if warmup else config.chi_max
         max_restarts = 2 if warmup else 12
         energy = None
         for direction in ("right", "left"):
@@ -439,8 +442,8 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                     heff = layouts[i] = TwoSiteHeff(TwoSiteBlocks(qL, qsite, qR), channels[i])
                 heff.load(EL[i], ER[i + 2])
                 blocks = heff.blocks
-                if warmup and config.noise_scale > 0.0:
-                    theta = theta + config.noise_scale * rng.standard_normal(theta.shape)
+                if warmup:
+                    theta = theta + NOISE_SCALE * rng.standard_normal(theta.shape)
                 x = blocks.gather(theta)
                 nrm = np.linalg.norm(x)
                 if nrm == 0.0:
@@ -449,8 +452,8 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 energy, vec, info = lowest_eigenpair(
                     heff.matvec,
                     x,
-                    tol=config.lanczos_tol,
-                    krylov_dim=config.lanczos_dim,
+                    tol=LANCZOS_TOL,
+                    krylov_dim=LANCZOS_DIM,
                     max_restarts=max_restarts,
                 )
                 n_matvec += info["matvecs"]

@@ -165,6 +165,30 @@ def test_curve_round_trip(tmp_path):
     assert back.rows == curve.rows
 
 
+def _run_config_file(path):
+    cli.run(["generate", "xxz", "-L", "6", "--count", "3", "--config", path])
+
+
+@pytest.mark.parametrize(
+    "read, text, line",
+    [
+        (read_curve, "# k v\na,b\n1.0,2.0\n1.0,x\n", 4),  # bad value
+        (read_curve, "a,b\n1.0\n", 2),  # too few fields
+        (read_curve, "a,b\n1.0,2.0\n1.0,2.0,3.0\n", 3),  # too many fields
+        (read_curve, "# k v\n", 2),  # no header line
+        (read_curve, "", 1),  # empty file
+        (_run_config_file, "count 3\n\nchi-max  # no value\n", 3),
+    ],
+    ids=["bad-value", "short-row", "long-row", "no-header", "empty", "config-no-value"],
+)
+def test_readers_name_path_and_line(tmp_path, read, text, line):
+    path = str(tmp_path / "input.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: "):
+        read(path)
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_generate_produces_one_record_per_grid_point(tmp_path):
@@ -427,6 +451,35 @@ def test_stability_cmd_multi_window(tmp_path):
         stability_cmd(path, [(-0.5, 0.0)], cfg=cfg)
 
 
+def test_commands_name_an_empty_dataset(tmp_path):
+    ds, path = tiny_sweep(tmp_path, count=9, L=6)
+    cfg = default_train_config(
+        "xxz", epochs_max=2, batch_size=4, seed=1,
+        threshold_train=10.0, threshold_val=10.0,
+    )
+    _, ckpt = train_cmd(
+        path, (-0.5, 0.0), (-1.0, -0.5), cfg=cfg,
+        out_path=str(tmp_path / "det.ckpt"),
+    )
+    ds.records = []
+    empty = str(tmp_path / "empty.ds")
+    write_dataset(empty, ds)
+    out = str(tmp_path / "out.csv")
+    commands = [
+        lambda: train_cmd(empty, (-0.5, 0.0), (-1.0, -0.5), cfg=cfg,
+                          out_path=str(tmp_path / "e.ckpt")),
+        lambda: scan_cmd(ckpt, empty, out_path=out),
+        lambda: stability_cmd(empty, [(-0.5, 0.0), (-0.4, 0.0)], cfg=cfg,
+                              out_path=out),
+        lambda: kl_cmd(empty, out_path=out),
+        lambda: towers_cmd(empty, -0.5, out_path=out),
+    ]
+    for command in commands:
+        with pytest.raises(ConfigError, match=f"^{re.escape(empty)} holds no records"):
+            command()
+    assert not os.path.exists(out)
+
+
 def test_dataset_features_alignment_width(tmp_path):
     ds, _ = tiny_sweep(tmp_path, count=3, L=6)
     features, seq = dataset_features(ds, n_feat=16)
@@ -475,6 +528,43 @@ def test_cli_generate_and_scan_exit_codes(tmp_path, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "flags, given",
+    [
+        (["--count", "3"], dict(count=3, step=None)),
+        (["--min", "-0.04"], dict(control_min=-0.04)),
+        (["--min", "-0.3", "--max", "-0.26"], dict(control_min=-0.3, control_max=-0.26)),
+        (
+            ["--min", "1", "--max", "2", "--step", "0.5", "--chi-max", "8",
+             "--svd-cutoff", "1e-12", "--max-sweeps", "9", "--n-max", "2",
+             "--seed", "5"],
+            dict(control_min=1.0, control_max=2.0, step=0.5, chi_max=8,
+                 svd_cutoff=1e-12, max_sweeps=9, n_max=2, seed=5),
+        ),
+    ],
+    ids=["count", "min", "min-max", "every-flag"],
+)
+def test_cli_generate_writes_default_sweep(tmp_path, monkeypatch, flags, given):
+    model = "bh" if "--n-max" in flags else "xxz"
+    out = str(tmp_path / "sweep.ds")
+    want = pipeline.default_sweep(model, 4, out_path=out, **given)
+    seen = []
+    real = pipeline.generate
+
+    def spy(cfg):
+        seen.append(cfg)
+        return real(cfg, log=io.StringIO())
+
+    monkeypatch.setattr(pipeline, "generate", spy)
+    assert cli.main(["generate", model, "-L", "4", *flags, "--out", out]) == 0
+    assert seen == [want]
+    ds = read_dataset(out)
+    assert (ds.model_id, ds.L, ds.chi_max, ds.svd_cutoff, ds.seed) == (
+        model, 4, want.chi_max, want.svd_cutoff, want.seed,
+    )
+    assert ds.controls().tolist() == want.grid().tolist()
+
+
 def test_cli_config_file_fills_defaults(tmp_path, monkeypatch):
     monkeypatch.setenv("ESGAN_DATA_DIR", str(tmp_path))
     cfg_file = tmp_path / "sweep.cfg"
@@ -509,7 +599,7 @@ def _readme_commands():
     ]
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
     commands = _readme_commands()
     assert {argv[0] for argv in commands} == {
         "generate", "train", "scan", "kl", "stability", "towers",
@@ -518,3 +608,15 @@ def test_readme_command_lines_parse():
     for argv in commands:
         args = parser.parse_args(argv)  # argparse exits on a bad line
         assert args.command == argv[0]
+    # then run the block in order, on a 9-point L=8 grid; the formal
+    # training thresholds are out of reach at this size, so train may
+    # exit 3 after writing its checkpoint
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[0] == "generate":
+            argv = argv + ["--length", "8", "--step", "0.1875"]
+        rc = cli.main(argv)
+        assert rc in ((0, 3) if argv[0] == "train" else (0,)), argv
+        out = argv[argv.index("--out") + 1]
+        assert os.path.exists(out), argv
+    assert len(read_dataset("sweep.ds").records) == 9
