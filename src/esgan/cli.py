@@ -19,7 +19,7 @@ import dataclasses
 import sys
 
 from . import pipeline
-from .gan import ConfigError, TrainConfig, default_train_config
+from .gan import ConfigError, TrainConfig
 from .pipeline import ConvergenceError, SolverError, SweepConfig
 
 
@@ -83,6 +83,7 @@ def build_parser():
             "--config",
             help="file of 'key value' lines applied as defaults for the flags",
         )
+    parser.commands = sub.choices
     return parser
 
 
@@ -91,10 +92,17 @@ def _apply_config_file(parser, args, argv):
 
     Explicit command-line flags win; the config file only fills in values
     the user did not give.  Keys use the long flag spelling without the
-    leading dashes (underscores and dashes both accepted).
+    leading dashes (underscores and dashes both accepted).  A flag that
+    takes no value (``no-adversarial``, ``kl``) is set by a line holding
+    its key alone.
     """
     if not getattr(args, "config", None):
         return args
+    switches = {
+        flag for action in parser.commands[args.command]._actions
+        if action.nargs == 0 and action.dest != "help"
+        for flag in action.option_strings
+    }
     entries = {}
     try:
         with open(args.config) as fh:
@@ -103,16 +111,20 @@ def _apply_config_file(parser, args, argv):
                 if not line:
                     continue
                 key, *vals = line.split()
-                if not vals:
+                flag = "--" + key.replace("_", "-")
+                if flag in switches and vals:
+                    raise ConfigError(
+                        f"{args.config}:{n}: {key} takes no value: {raw!r}"
+                    )
+                if flag not in switches and not vals:
                     raise ConfigError(
                         f"{args.config}:{n}: config line needs a value: {raw!r}"
                     )
-                entries[key.replace("-", "_")] = vals
+                entries[flag] = vals
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     rebuilt = list(argv)
-    for key, vals in entries.items():
-        flag = "--" + key.replace("_", "-")
+    for flag, vals in entries.items():
         if any(a == flag or a.startswith(flag + "=") for a in argv):
             continue
         rebuilt.extend([flag] + vals)
@@ -143,13 +155,11 @@ def run(argv=None):
         print(f"{len(ds.records)} records -> {path}")
 
     elif args.command == "train":
-        ds = pipeline.read_dataset(args.dataset)
-        cfg = default_train_config(ds.model_id, **_given(args, TrainConfig))
         det, path = pipeline.train_cmd(
             args.dataset,
             tuple(args.train_window),
             tuple(args.val_window),
-            cfg=cfg,
+            overrides=_given(args, TrainConfig),
             out_path=args.out,
             log_path=args.log,
         )
@@ -168,12 +178,10 @@ def run(argv=None):
         print(f"{len(curve.rows)} points -> {path}")
 
     elif args.command == "stability":
-        ds = pipeline.read_dataset(args.dataset)
-        cfg = default_train_config(ds.model_id, **_given(args, TrainConfig))
         curve, path = pipeline.stability_cmd(
             args.dataset,
             [tuple(w) for w in args.window],
-            cfg=cfg,
+            overrides=_given(args, TrainConfig),
             out_path=args.out,
         )
         print(f"{len(curve.rows)} points -> {path}")

@@ -13,6 +13,7 @@ thin argument-parsing shell around them.
 """
 
 import bisect
+import contextlib
 import os
 import sys
 import warnings
@@ -315,7 +316,66 @@ def _solve_point(cfg, control, psi0=None):
         return dmrg_ground_state(spec, cfg.dmrg_config(), psi0=psi0)
 
 
-def generate(cfg, log=None):
+def _solve_chunk(cfg, controls, new):
+    """Solve the chain ``controls`` in order, each point warm-started from
+    the one before it.  Returns, in grid order, one tuple
+    (control, record, converged, sweeps, error) per control in ``new``:
+    ``error`` is the message of a solver run that raised (the other
+    fields are then None), else None."""
+    results = []
+    psi = None
+    for control in controls:
+        try:
+            psi = _solve_point(cfg, control, psi)
+        except Exception as exc:  # noqa: BLE001 - sweep must survive a point
+            psi = None
+            if control in new:
+                results.append((control, None, None, None, str(exc)))
+            continue
+        if control in new:
+            results.append((control, schmidt_decompose(psi), psi.converged,
+                            psi.stats["sweeps"], None))
+        if not psi.converged:
+            psi = None  # an unconverged state seeds nothing
+    return results
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solved_chunks(cfg, jobs, workers):
+    """Yield ``_solve_chunk(cfg, *job)`` for each job, in order.
+
+    With more than one worker and the fork start method at hand, the jobs
+    run in a pool of forked processes that ignore SIGINT; closing the
+    generator early, as an exception in the caller does through
+    ``contextlib.closing``, kills the pool without waiting for the jobs
+    in flight.  Forked workers inherit the loaded modules, so the pool
+    costs no re-import.  Otherwise the jobs run here, one after another.
+    """
+    workers = min(_usable_cpus() if workers is None else workers, len(jobs))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            import signal
+
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(workers, signal.signal,
+                          (signal.SIGINT, signal.SIG_IGN)) as pool:
+                pending = [pool.apply_async(_solve_chunk, (cfg, *job))
+                           for job in jobs]
+                for result in pending:
+                    yield result.get()
+            return
+    for job in jobs:
+        yield _solve_chunk(cfg, *job)
+
+
+def generate(cfg, log=None, workers=None):
     """Run the sweep, appending to an existing dataset file if present.
 
     The grid is walked in chunks of CHUNK consecutive points.  The first
@@ -330,9 +390,16 @@ def generate(cfg, log=None):
     points added to a file by a different grid are seeded from that
     grid's neighbours.  A point whose solver run raises is logged and
     skipped, and the sweep continues; a point whose solver did not
-    converge is logged and kept.  The file on disk is
-    rewritten atomically once per chunk, so interrupting and rerunning
-    loses at most the chunk in flight.  The returned dataset keeps its
+    converge is logged and kept.
+
+    Chunks are independent of each other, so they are solved in
+    min(``workers``, chunks to solve) forked worker processes, ``workers``
+    defaulting to the usable CPUs; with one, or where fork is unavailable,
+    they are solved in this process.  Either way this process merges the
+    chunks in grid order, prints the log lines and rewrites the file on
+    disk atomically once per chunk that added a record, so the file is
+    byte-identical for any worker count, and interrupting and rerunning
+    loses at most the chunks in flight.  The returned dataset keeps its
     records sorted by control value, as the file does, and equals what
     reading the file back gives.
     """
@@ -368,36 +435,29 @@ def generate(cfg, log=None):
     if not n_todo:
         return ds, path
 
-    failures = 0
+    jobs = []
     for start in range(0, len(grid), CHUNK):
         chunk = grid[start:start + CHUNK]
         missing = [n for n, c in enumerate(chunk) if c not in have]
-        if not missing:
-            continue
-        n_records = len(ds.records)
-        psi = None
-        for control in chunk[:missing[-1] + 1]:
-            new = control not in have
-            try:
-                psi = _solve_point(cfg, control, psi)
-            except Exception as exc:  # noqa: BLE001 - sweep must survive a point
-                psi = None
-                if new:
+        if missing:
+            jobs.append((chunk[:missing[-1] + 1],
+                         frozenset(chunk[n] for n in missing)))
+
+    failures = 0
+    with contextlib.closing(_solved_chunks(cfg, jobs, workers)) as chunks:
+        for results in chunks:
+            n_records = len(ds.records)
+            for control, record, converged, sweeps, error in results:
+                if error is not None:
                     failures += 1
-                    print(f"[generate] {control:g} failed: {exc}", file=log)
-                continue
-            if new:
-                if not psi.converged:
-                    print(
-                        f"[generate] {control:g} not converged in "
-                        f"{psi.stats['sweeps']} sweeps",
-                        file=log,
-                    )
-                bisect.insort(ds.records, schmidt_decompose(psi), key=_control)
-            if not psi.converged:
-                psi = None  # an unconverged state seeds nothing
-        if len(ds.records) > n_records:
-            write_dataset(path, ds)
+                    print(f"[generate] {control:g} failed: {error}", file=log)
+                    continue
+                if not converged:
+                    print(f"[generate] {control:g} not converged in {sweeps} sweeps",
+                          file=log)
+                bisect.insort(ds.records, record, key=_control)
+            if len(ds.records) > n_records:
+                write_dataset(path, ds)
     if failures == n_todo:
         raise SolverError(f"all {failures} grid points failed")
     return ds, path
@@ -416,17 +476,26 @@ def dataset_features(ds, n_feat=N_FEAT, sequence=None):
 
 # ------------------------------------------------------------------- train
 
+def _train_config(model_id, cfg, overrides):
+    """``cfg``, or the model's default TrainConfig when None, with the
+    fields in ``overrides`` replaced."""
+    if cfg is None:
+        cfg = default_train_config(model_id)
+    return replace(cfg, **overrides) if overrides else cfg
+
+
 def train_cmd(dataset_path, train_window, val_window, cfg=None, out_path=None,
-              log_path=None, n_feat=N_FEAT):
+              log_path=None, n_feat=N_FEAT, overrides=None):
     """Train a detector on a dataset; write checkpoint + training log.
 
+    ``cfg`` defaults to the dataset model's default TrainConfig;
+    ``overrides`` maps TrainConfig fields to values that replace cfg's.
     Returns (detector, checkpoint path).  A detector that misses its
     thresholds is still checkpointed, then ConvergenceError is raised so
     the caller can exit with the dedicated status code.
     """
     ds = _load(dataset_path)
-    if cfg is None:
-        cfg = default_train_config(ds.model_id)
+    cfg = _train_config(ds.model_id, cfg, overrides)
     features, sequence = dataset_features(ds, n_feat)
     det = gan.train(features, cfg, train_window, val_window, sequence=sequence)
     out_path = _output_path(out_path, ds.model_id, ds.L, "_detector.ckpt")
@@ -552,9 +621,10 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
 # --------------------------------------------------------------- stability
 
 def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
-                  n_feat=N_FEAT, log=None):
+                  n_feat=N_FEAT, log=None, overrides=None):
     """Train one detector per training window, score the full sweep with
-    each, and write all score columns into a single CSV.
+    each, and write all score columns into a single CSV.  ``cfg`` and
+    ``overrides`` act as in train_cmd.
 
     Validation bands are placed adjacent to each window on the side away
     from the transition (left for xxz/bh2s, right for bh), 20% of the
@@ -565,8 +635,7 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
     if len(windows) < 2:
         raise ConfigError("stability needs at least two training windows")
     ds = _load(dataset_path)
-    if cfg is None:
-        cfg = default_train_config(ds.model_id)
+    cfg = _train_config(ds.model_id, cfg, overrides)
     features, sequence = dataset_features(ds, n_feat)
     controls = [float(f.control_value) for f in features]
     columns = {}

@@ -3,9 +3,13 @@ behavior and exit codes, all at toy sizes."""
 
 import io
 import itertools
+import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 
 from esgan import cli, pipeline
 from esgan.gan import ConfigError, default_train_config
-from esgan.models import build_model
+from esgan.models import build_model, control_value
 from esgan.pipeline import (
     CHUNK,
     ConvergenceError,
@@ -36,7 +40,7 @@ from esgan.solver import ed_ground_state, schmidt_decompose
 from esgan.spectra import make_labeled_spectrum
 
 
-def tiny_sweep(tmp_path, count=5, L=6, lo=-1.0, hi=0.0, name="t.ds"):
+def tiny_sweep(tmp_path, count=5, L=6, lo=-1.0, hi=0.0, name="t.ds", **kwargs):
     cfg = SweepConfig(
         model_id="xxz",
         L=L,
@@ -46,7 +50,7 @@ def tiny_sweep(tmp_path, count=5, L=6, lo=-1.0, hi=0.0, name="t.ds"):
         chi_max=16,
         out_path=str(tmp_path / name),
     )
-    return generate(cfg)
+    return generate(cfg, **kwargs)
 
 
 # ----------------------------------------------------------------- formats
@@ -169,6 +173,14 @@ def _run_config_file(path):
     cli.run(["generate", "xxz", "-L", "6", "--count", "3", "--config", path])
 
 
+def _run_train_config_file(path):
+    # the config file is read before the dataset, which need not exist
+    cli.run([
+        "train", "missing.ds", "--train-window", "-0.5", "0",
+        "--val-window", "-1", "-0.5", "--config", path,
+    ])
+
+
 @pytest.mark.parametrize(
     "read, text, line",
     [
@@ -178,8 +190,10 @@ def _run_config_file(path):
         (read_curve, "# k v\n", 2),  # no header line
         (read_curve, "", 1),  # empty file
         (_run_config_file, "count 3\n\nchi-max  # no value\n", 3),
+        (_run_train_config_file, "seed 1\nno-adversarial yes\n", 2),
     ],
-    ids=["bad-value", "short-row", "long-row", "no-header", "empty", "config-no-value"],
+    ids=["bad-value", "short-row", "long-row", "no-header", "empty",
+         "config-no-value", "config-switch-value"],
 )
 def test_readers_name_path_and_line(tmp_path, read, text, line):
     path = str(tmp_path / "input.txt")
@@ -231,15 +245,38 @@ def _stopped_in_second_chunk(tmp_path, monkeypatch, name, count):
     with monkeypatch.context() as m:
         m.setattr(pipeline, "dmrg_ground_state", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            tiny_sweep(tmp_path, count=count, name=name)
+            tiny_sweep(tmp_path, count=count, name=name, workers=1)
     # the chunk in flight is lost, the finished one kept
+    assert len(read_dataset(str(tmp_path / name)).records) == CHUNK
+
+
+def _fan_out_stopped_at_second_write(tmp_path, monkeypatch, name, count):
+    # three chunks in two worker processes; the parent is interrupted at
+    # its second file write, while the third chunk may be in flight
+    writes = itertools.count()
+    write = pipeline.write_dataset
+
+    def interrupted(*args, **kwargs):
+        if next(writes) == 1:
+            raise KeyboardInterrupt
+        return write(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "write_dataset", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            tiny_sweep(tmp_path, count=count, name=name, workers=2)
+    assert multiprocessing.active_children() == []
     assert len(read_dataset(str(tmp_path / name)).records) == CHUNK
 
 
 @pytest.mark.parametrize(
     "count, partial",
-    [(5, _head_of_grid), (CHUNK + 4, _stopped_in_second_chunk)],
-    ids=["head", "second_chunk"],
+    [
+        (5, _head_of_grid),
+        (CHUNK + 4, _stopped_in_second_chunk),
+        (2 * CHUNK + 3, _fan_out_stopped_at_second_write),
+    ],
+    ids=["head", "second_chunk", "fan_out"],
 )
 def test_generate_interrupted_then_resumed_equals_uninterrupted(
     tmp_path, monkeypatch, count, partial
@@ -255,6 +292,84 @@ def test_generate_interrupted_then_resumed_equals_uninterrupted(
     a_rec = a[a.index(b"[record]"):]
     b_rec = b[b.index(b"[record]"):]
     assert a_rec == b_rec
+
+
+def _sweep_bytes(cfg, path, workers):
+    generate(replace(cfg, out_path=str(path)), log=io.StringIO(), workers=workers)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize(
+    "model_id, L, lo, hi, count",
+    [("xxz", 6, -1.0, 0.0, 2 * CHUNK + 3), ("bh2s", 4, -0.4, 0.0, CHUNK + 2)],
+    ids=["xxz", "bh2s"],
+)
+def test_generate_bytes_do_not_depend_on_worker_count(
+    tmp_path, model_id, L, lo, hi, count
+):
+    cfg = SweepConfig(model_id=model_id, L=L, control_min=lo, control_max=hi,
+                      count=count, chi_max=16)
+    serial = _sweep_bytes(cfg, tmp_path / "serial.ds", workers=1)
+    assert _sweep_bytes(cfg, tmp_path / "fan_out.ds", workers=2) == serial
+    ds = read_dataset(str(tmp_path / "serial.ds"))
+    assert len(ds.records) == count
+    assert {len(e.charge) for r in ds.records for e in r.entries} == {len(ds.filling)}
+
+
+def test_resume_over_holes_in_two_chunks_is_worker_count_independent(tmp_path):
+    cfg = SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0,
+                      count=2 * CHUNK + 3, chi_max=16)
+    full = _sweep_bytes(cfg, tmp_path / "full.ds", workers=1)
+    holed = read_dataset(str(tmp_path / "full.ds"))
+    holes = {3, 4, 2 * CHUNK + 1}  # in the first and the third chunk
+    holed.records = [r for n, r in enumerate(holed.records) if n not in holes]
+    for workers in (1, 2):
+        path = tmp_path / f"resumed{workers}.ds"
+        write_dataset(str(path), holed)
+        assert _sweep_bytes(cfg, path, workers) == full
+
+
+def test_failing_point_is_logged_and_skipped_in_any_worker(tmp_path, monkeypatch):
+    count = 2 * CHUNK
+    bad = float(np.linspace(-1.0, 0.0, count)[CHUNK + 1])  # in the second chunk
+    solve = pipeline.dmrg_ground_state
+
+    def failing(spec, *args, **kwargs):
+        if control_value(spec) == bad:
+            raise RuntimeError("no ground state")
+        return solve(spec, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "dmrg_ground_state", failing)
+    files = []
+    for workers in (1, 2):
+        log = io.StringIO()
+        ds, path = tiny_sweep(tmp_path, count=count, name=f"w{workers}.ds",
+                              log=log, workers=workers)
+        assert log.getvalue().splitlines() == [
+            f"[generate] {bad:g} failed: no ground state"
+        ]
+        assert len(ds.records) == count - 1 and bad not in ds.controls()
+        with open(path, "rb") as fh:
+            files.append(fh.read())
+    assert files[0] == files[1]
+
+
+def test_importing_pipeline_loads_no_process_pool():
+    # the pool's modules load only when a sweep fans out, which keeps
+    # them out of every command's start-up time
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    code = (
+        "import sys, esgan.pipeline; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _spectrum_table(spectrum):
@@ -577,6 +692,54 @@ def test_cli_config_file_fills_defaults(tmp_path, monkeypatch):
     ds = read_dataset(str(tmp_path / "xxz_L6.ds"))
     assert len(ds.records) == 3
     assert ds.chi_max == 16
+
+
+@pytest.mark.parametrize(
+    "argv, key, dest, want",
+    [
+        (["train", "d.ds", "--train-window", "-0.5", "0", "--val-window", "-1", "-0.5"],
+         "no-adversarial", "adversarial", False),
+        (["scan", "det.ckpt", "d.ds"], "kl", "kl", True),
+    ],
+    ids=["no-adversarial", "kl"],
+)
+def test_cli_config_file_sets_flags_without_value(tmp_path, argv, key, dest, want):
+    cfg_file = tmp_path / "flags.cfg"
+    cfg_file.write_text(f"{key}  # takes no value\n")
+    parser = cli.build_parser()
+    argv = argv + ["--config", str(cfg_file)]
+    assert getattr(parser.parse_args(argv), dest) is not want
+    args = cli._apply_config_file(parser, parser.parse_args(argv), argv)
+    assert getattr(args, dest) is want
+
+
+@pytest.mark.parametrize("command", ["train", "stability"])
+def test_cli_reads_the_dataset_once(tmp_path, monkeypatch, command):
+    ds, path = tiny_sweep(tmp_path, count=9, L=6)
+    reads = []
+    read = pipeline.read_dataset
+
+    def counted(*args):
+        reads.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(pipeline, "read_dataset", counted)
+    ckpt = str(tmp_path / "det.ckpt")
+    if command == "train":
+        rc = cli.main([
+            "train", path, "--train-window", "-0.5", "0",
+            "--val-window", "-1", "-0.5", "--epochs-max", "2",
+            "--batch-size", "4", "--out", ckpt,
+        ])
+        assert rc == 3  # two epochs miss the thresholds
+        assert len(read_curve(ckpt + ".log.csv").rows) == 2  # flags reach train
+    else:
+        rc = cli.main([
+            "stability", path, "--window", "-0.5", "0", "--window", "-0.4", "0",
+            "--seed", "3", "--out", str(tmp_path / "stab.csv"),
+        ])
+        assert rc == 0
+    assert reads == [(path,)]
 
 
 def test_cli_rejects_bad_config_file(tmp_path):
