@@ -340,23 +340,45 @@ def _solve_chunk(cfg, controls, new):
     return results
 
 
-def _usable_cpus():
+# the variables that set the BLAS thread count, in the order OpenBLAS and
+# MKL read them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _sweep_workers():
+    """The usable CPUs divided by the BLAS threads of each process.
+
+    BLAS runs one thread per CPU unless one of BLAS_THREAD_VARS says
+    otherwise, and forked workers that each do so oversubscribe the CPUs:
+    a two-chunk BH L=16 sweep took 71 s in two such workers on two CPUs
+    against 57 s in one process, and 31 s in two one-thread workers.
+    """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        threads = os.environ.get(var, "").strip()
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, cpus // int(threads))
+    return 1
 
 
-def _solved_chunks(cfg, jobs, workers):
+def _solved_chunks(cfg, jobs):
     """Yield ``_solve_chunk(cfg, *job)`` for each job, in order.
 
-    With more than one worker and the fork start method at hand, the jobs
-    run in a pool of forked processes that ignore SIGINT; closing the
+    With more than one job and sweep worker (``_sweep_workers``) and the
+    fork start method at hand, the jobs run in a pool of min(sweep
+    workers, jobs) forked processes that ignore SIGINT; closing the
     generator early, as an exception in the caller does through
     ``contextlib.closing``, kills the pool without waiting for the jobs
-    in flight.  Forked workers inherit the loaded modules, so the pool
-    costs no re-import.  Otherwise the jobs run here, one after another.
+    in flight.  Forked workers inherit the loaded
+    modules, so the pool costs no re-import.  A worker that dies, say at
+    the hands of the OOM killer, takes its job with it, so SolverError is
+    raised rather than waiting for that job forever.  Otherwise the jobs
+    run here, one after another.
     """
-    workers = min(_usable_cpus() if workers is None else workers, len(jobs))
+    workers = min(_sweep_workers(), len(jobs))
     if workers > 1:
         import multiprocessing
 
@@ -364,18 +386,29 @@ def _solved_chunks(cfg, jobs, workers):
             import signal
 
             ctx = multiprocessing.get_context("fork")
+            others = set(multiprocessing.active_children())
             with ctx.Pool(workers, signal.signal,
                           (signal.SIGINT, signal.SIG_IGN)) as pool:
+                started = set(multiprocessing.active_children()) - others
                 pending = [pool.apply_async(_solve_chunk, (cfg, *job))
                            for job in jobs]
                 for result in pending:
+                    while not result.ready():
+                        for worker in started:
+                            if worker.exitcode is not None:
+                                raise SolverError(
+                                    f"sweep worker {worker.pid} ended with "
+                                    f"exit code {worker.exitcode}; rerun to "
+                                    "resume from the chunks written"
+                                )
+                        result.wait(1.0)
                     yield result.get()
             return
     for job in jobs:
         yield _solve_chunk(cfg, *job)
 
 
-def generate(cfg, log=None, workers=None):
+def generate(cfg, log=None):
     """Run the sweep, appending to an existing dataset file if present.
 
     The grid is walked in chunks of CHUNK consecutive points.  The first
@@ -393,13 +426,15 @@ def generate(cfg, log=None, workers=None):
     converge is logged and kept.
 
     Chunks are independent of each other, so they are solved in
-    min(``workers``, chunks to solve) forked worker processes, ``workers``
-    defaulting to the usable CPUs; with one, or where fork is unavailable,
-    they are solved in this process.  Either way this process merges the
-    chunks in grid order, prints the log lines and rewrites the file on
-    disk atomically once per chunk that added a record, so the file is
-    byte-identical for any worker count, and interrupting and rerunning
-    loses at most the chunks in flight.  The returned dataset keeps its
+    min(usable CPUs / BLAS threads, chunks to solve) forked worker
+    processes; with one, or where fork is unavailable, they are solved in
+    this process.  BLAS runs one thread per CPU unless
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS sets fewer,
+    so the fan-out needs one of them set to 1.  Either way this process
+    merges the chunks in grid order, prints the log lines and rewrites the
+    file on disk atomically once per chunk that added a record, so the
+    file is byte-identical for any worker count, and interrupting and
+    rerunning loses at most the chunks in flight.  The returned dataset keeps its
     records sorted by control value, as the file does, and equals what
     reading the file back gives.
     """
@@ -444,7 +479,7 @@ def generate(cfg, log=None, workers=None):
                          frozenset(chunk[n] for n in missing)))
 
     failures = 0
-    with contextlib.closing(_solved_chunks(cfg, jobs, workers)) as chunks:
+    with contextlib.closing(_solved_chunks(cfg, jobs)) as chunks:
         for results in chunks:
             n_records = len(ds.records)
             for control, record, converged, sweeps, error in results:
@@ -476,26 +511,19 @@ def dataset_features(ds, n_feat=N_FEAT, sequence=None):
 
 # ------------------------------------------------------------------- train
 
-def _train_config(model_id, cfg, overrides):
-    """``cfg``, or the model's default TrainConfig when None, with the
-    fields in ``overrides`` replaced."""
-    if cfg is None:
-        cfg = default_train_config(model_id)
-    return replace(cfg, **overrides) if overrides else cfg
-
-
 def train_cmd(dataset_path, train_window, val_window, cfg=None, out_path=None,
               log_path=None, n_feat=N_FEAT, overrides=None):
     """Train a detector on a dataset; write checkpoint + training log.
 
-    ``cfg`` defaults to the dataset model's default TrainConfig;
-    ``overrides`` maps TrainConfig fields to values that replace cfg's.
+    ``cfg`` defaults to the dataset model's default TrainConfig with the
+    TrainConfig fields in ``overrides`` replaced.
     Returns (detector, checkpoint path).  A detector that misses its
     thresholds is still checkpointed, then ConvergenceError is raised so
     the caller can exit with the dedicated status code.
     """
     ds = _load(dataset_path)
-    cfg = _train_config(ds.model_id, cfg, overrides)
+    if cfg is None:
+        cfg = default_train_config(ds.model_id, **(overrides or {}))
     features, sequence = dataset_features(ds, n_feat)
     det = gan.train(features, cfg, train_window, val_window, sequence=sequence)
     out_path = _output_path(out_path, ds.model_id, ds.L, "_detector.ckpt")
@@ -635,7 +663,8 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
     if len(windows) < 2:
         raise ConfigError("stability needs at least two training windows")
     ds = _load(dataset_path)
-    cfg = _train_config(ds.model_id, cfg, overrides)
+    if cfg is None:
+        cfg = default_train_config(ds.model_id, **(overrides or {}))
     features, sequence = dataset_features(ds, n_feat)
     controls = [float(f.control_value) for f in features]
     columns = {}

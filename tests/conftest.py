@@ -7,7 +7,8 @@ regeneration.  generate skips the grid points a file already holds, so a
 complete cache costs one read per segment and an interrupted one resumes
 from the chunks of 16 grid points it was solving (generate warm-starts
 each point of a chunk from the one before, solves the chunks in forked
-worker processes, one per usable CPU, and writes the file once per
+worker processes, one per usable CPU when BLAS runs one thread (for
+example under OPENBLAS_NUM_THREADS=1), and writes the file once per
 chunk, byte-identical for any worker count).
 Grids are denser inside the training/validation windows than in the far
 gapped region, which keeps generation affordable without starving the

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,6 +23,7 @@ from esgan.pipeline import (
     CHUNK,
     ConvergenceError,
     ScoreCurve,
+    SolverError,
     SpectrumDataset,
     SweepConfig,
     dataset_features,
@@ -244,8 +246,9 @@ def _stopped_in_second_chunk(tmp_path, monkeypatch, name, count):
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "dmrg_ground_state", interrupted)
+        m.setattr(pipeline, "_sweep_workers", lambda: 1)
         with pytest.raises(KeyboardInterrupt):
-            tiny_sweep(tmp_path, count=count, name=name, workers=1)
+            tiny_sweep(tmp_path, count=count, name=name)
     # the chunk in flight is lost, the finished one kept
     assert len(read_dataset(str(tmp_path / name)).records) == CHUNK
 
@@ -263,8 +266,9 @@ def _fan_out_stopped_at_second_write(tmp_path, monkeypatch, name, count):
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "write_dataset", interrupted)
+        m.setattr(pipeline, "_sweep_workers", lambda: 2)
         with pytest.raises(KeyboardInterrupt):
-            tiny_sweep(tmp_path, count=count, name=name, workers=2)
+            tiny_sweep(tmp_path, count=count, name=name)
     assert multiprocessing.active_children() == []
     assert len(read_dataset(str(tmp_path / name)).records) == CHUNK
 
@@ -294,8 +298,10 @@ def test_generate_interrupted_then_resumed_equals_uninterrupted(
     assert a_rec == b_rec
 
 
-def _sweep_bytes(cfg, path, workers):
-    generate(replace(cfg, out_path=str(path)), log=io.StringIO(), workers=workers)
+def _sweep_bytes(monkeypatch, cfg, path, workers):
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_sweep_workers", lambda: workers)
+        generate(replace(cfg, out_path=str(path)), log=io.StringIO())
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -306,28 +312,30 @@ def _sweep_bytes(cfg, path, workers):
     ids=["xxz", "bh2s"],
 )
 def test_generate_bytes_do_not_depend_on_worker_count(
-    tmp_path, model_id, L, lo, hi, count
+    tmp_path, monkeypatch, model_id, L, lo, hi, count
 ):
     cfg = SweepConfig(model_id=model_id, L=L, control_min=lo, control_max=hi,
                       count=count, chi_max=16)
-    serial = _sweep_bytes(cfg, tmp_path / "serial.ds", workers=1)
-    assert _sweep_bytes(cfg, tmp_path / "fan_out.ds", workers=2) == serial
+    serial = _sweep_bytes(monkeypatch, cfg, tmp_path / "serial.ds", workers=1)
+    assert _sweep_bytes(monkeypatch, cfg, tmp_path / "fan_out.ds", workers=2) == serial
     ds = read_dataset(str(tmp_path / "serial.ds"))
     assert len(ds.records) == count
     assert {len(e.charge) for r in ds.records for e in r.entries} == {len(ds.filling)}
 
 
-def test_resume_over_holes_in_two_chunks_is_worker_count_independent(tmp_path):
+def test_resume_over_holes_in_two_chunks_is_worker_count_independent(
+    tmp_path, monkeypatch
+):
     cfg = SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0,
                       count=2 * CHUNK + 3, chi_max=16)
-    full = _sweep_bytes(cfg, tmp_path / "full.ds", workers=1)
+    full = _sweep_bytes(monkeypatch, cfg, tmp_path / "full.ds", workers=1)
     holed = read_dataset(str(tmp_path / "full.ds"))
     holes = {3, 4, 2 * CHUNK + 1}  # in the first and the third chunk
     holed.records = [r for n, r in enumerate(holed.records) if n not in holes]
     for workers in (1, 2):
         path = tmp_path / f"resumed{workers}.ds"
         write_dataset(str(path), holed)
-        assert _sweep_bytes(cfg, path, workers) == full
+        assert _sweep_bytes(monkeypatch, cfg, path, workers) == full
 
 
 def test_failing_point_is_logged_and_skipped_in_any_worker(tmp_path, monkeypatch):
@@ -344,8 +352,8 @@ def test_failing_point_is_logged_and_skipped_in_any_worker(tmp_path, monkeypatch
     files = []
     for workers in (1, 2):
         log = io.StringIO()
-        ds, path = tiny_sweep(tmp_path, count=count, name=f"w{workers}.ds",
-                              log=log, workers=workers)
+        monkeypatch.setattr(pipeline, "_sweep_workers", lambda: workers)
+        ds, path = tiny_sweep(tmp_path, count=count, name=f"w{workers}.ds", log=log)
         assert log.getvalue().splitlines() == [
             f"[generate] {bad:g} failed: no ground state"
         ]
@@ -353,6 +361,47 @@ def test_failing_point_is_logged_and_skipped_in_any_worker(tmp_path, monkeypatch
         with open(path, "rb") as fh:
             files.append(fh.read())
     assert files[0] == files[1]
+
+
+def test_killed_worker_raises_instead_of_hanging(tmp_path, monkeypatch):
+    # a worker killed from outside loses its chunk; the pool would wait
+    # for that chunk forever
+    count = 2 * CHUNK
+    doomed = float(np.linspace(-1.0, 0.0, count)[CHUNK + 1])  # second chunk
+    parent = os.getpid()
+    solve = pipeline.dmrg_ground_state
+
+    def killed(spec, *args, **kwargs):
+        if control_value(spec) == doomed and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solve(spec, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "dmrg_ground_state", killed)
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda: 2)
+    with pytest.raises(SolverError, match="exit code -9"):
+        tiny_sweep(tmp_path, count=count, log=io.StringIO())
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "env, workers",
+    [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+        ({"MKL_NUM_THREADS": "8"}, 1),
+    ],
+    ids=["unset", "openblas-1", "omp-2", "openblas-first", "mkl-8"],
+)
+def test_sweep_workers_share_the_cpus_with_blas_threads(monkeypatch, env, workers):
+    for var in pipeline.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    assert pipeline._sweep_workers() == workers
 
 
 def test_importing_pipeline_loads_no_process_pool():
