@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .models import ConfigError
 from .neuralnet import (
     Autoencoder,
     DivergenceError,
@@ -29,10 +30,6 @@ from .neuralnet import (
     save_checkpoint,
 )
 from .spectra import FeatureVector, SectorSequence
-
-
-class ConfigError(ValueError):
-    pass
 
 
 CLAMP = 1e-7

@@ -24,6 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """Settings, or a combination of them, that no run can use."""
+
+
 @dataclass(frozen=True)
 class Term:
     """One product operator acting on one site or two adjacent sites.

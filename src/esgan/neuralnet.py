@@ -3,13 +3,15 @@
 Everything runs in 64-bit numpy on (batch, width) arrays.  The layer set
 is deliberately small (dense + max-pool + nearest-neighbor upsample) but
 each backward pass is exact, so analytic gradients can be checked against
-finite differences to tight tolerances.  Checkpoints are structured text
-with hex-encoded floats and round-trip byte-identically.
+finite differences to tight tolerances.  ADAM keeps its moments flat,
+one vector each per network, so a step is one vectorized update whatever
+the number of parameter arrays.  Checkpoints are structured text with
+hex-encoded floats and round-trip byte-identically.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,26 +111,32 @@ def _dense_bwd(layer, g, cache):
     return gx, dW, db
 
 
+def _selected(idx, window):
+    """Flat positions, in the row-major unpooled array, of the entries
+    that the per-window offsets ``idx`` select."""
+    return np.arange(0, idx.size * window, window).reshape(idx.shape) + idx
+
+
 def maxpool_forward(x, window):
     """Non-overlapping max pooling along the last axis.
 
     Returns (pooled, argmax offsets); ties resolve to the first index of
-    the window, which keeps the backward pass deterministic.
+    the window and a NaN is selected, as ``argmax`` has it, which keeps
+    the backward pass deterministic.  The pooled values are the selected
+    entries themselves, picked by flat position.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if window < 1 or n % window:
         raise ShapeError(f"length {n} not divisible by window {window}")
-    blocks = x.reshape(x.shape[:-1] + (n // window, window))
-    idx = blocks.argmax(axis=-1)
-    pooled = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
-    return pooled, idx
+    idx = x.reshape(x.shape[:-1] + (n // window, window)).argmax(axis=-1)
+    return x.ravel()[_selected(idx, window)], idx
 
 
 def maxpool_backward(g, idx, window):
     g = np.asarray(g, dtype=float)
-    out = np.zeros(g.shape[:-1] + (g.shape[-1], window))
-    np.put_along_axis(out, idx[..., None], g[..., None], axis=-1)
+    out = np.zeros(g.size * window)
+    out[_selected(idx, window)] = g
     return out.reshape(g.shape[:-1] + (g.shape[-1] * window,))
 
 
@@ -318,8 +326,11 @@ class Autoencoder:
 
 @dataclass
 class OptimizerState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """ADAM moments of one network, flat: the entries of its parameters
+    laid end to end in the order ``adam_step`` is given them."""
+
+    m: np.ndarray = None
+    v: np.ndarray = None
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -327,27 +338,35 @@ class OptimizerState:
 
 
 def adam_step(state, params, grads, lr):
-    """One bias-corrected ADAM update, in place on the parameter arrays."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in {name}")
+    """One bias-corrected ADAM update, in place on the parameter arrays.
+
+    The gradients are laid end to end in the order of ``params``, so the
+    moments and the step are each one vectorized update, and each
+    parameter then takes its slice of the step.  Every entry sees the
+    same operations in the same order as a per-array update would, so
+    the results are bit-identical to it.  A non-finite gradient raises
+    DivergenceError naming its parameter before anything changes.
+    """
+    g = np.concatenate([grads[name].ravel() for name in params])
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise DivergenceError(f"non-finite gradient in {bad}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps_adam)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    step = lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps_adam)
+    start = 0
+    for p in params.values():
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
     return params
 
 

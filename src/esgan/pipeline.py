@@ -19,6 +19,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -97,6 +98,7 @@ class SweepConfig:
             raise ConfigError("count must be >= 2")
         if self.step is not None and self.step <= 0:
             raise ConfigError("step must be positive")
+        self.dmrg_config()  # raises ConfigError on settings the solver rejects
 
     def grid(self):
         if self.count is not None:
@@ -346,7 +348,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 
 
 def _sweep_workers():
-    """The usable CPUs divided by the BLAS threads of each process.
+    """How many forked workers ``_fanned_out`` may start: the usable CPUs
+    divided by the BLAS threads of each process.
 
     BLAS runs one thread per CPU unless one of BLAS_THREAD_VARS says
     otherwise, and forked workers that each do so oversubscribe the CPUs:
@@ -364,48 +367,62 @@ def _sweep_workers():
     return 1
 
 
-def _solved_chunks(cfg, jobs):
-    """Yield ``_solve_chunk(cfg, *job)`` for each job, in order.
+_worker_jobs = None  # (fn, jobs) of the fan-out that forked this worker
 
-    With more than one job and sweep worker (``_sweep_workers``) and the
-    fork start method at hand, the jobs run in a pool of min(sweep
-    workers, jobs) forked processes that ignore SIGINT; closing the
+
+def _start_worker(fn, jobs):
+    """Pool initializer: ignore SIGINT and keep the fan-out's function and
+    jobs.  The pool forks, so they are inherited, not pickled."""
+    global _worker_jobs
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_jobs = fn, jobs
+
+
+def _run_job(n):
+    fn, jobs = _worker_jobs
+    return fn(*jobs[n])
+
+
+def _fanned_out(fn, jobs):
+    """Yield ``fn(*job)`` for each job, in order.
+
+    With more than one job and worker (``_sweep_workers``) and the fork
+    start method at hand, the jobs run in a pool of min(workers, jobs)
+    forked processes that ignore SIGINT.  The workers inherit ``fn``,
+    the jobs and the loaded modules, so only job numbers and results
+    cross between processes, and ``fn`` may be a closure.  Closing the
     generator early, as an exception in the caller does through
     ``contextlib.closing``, kills the pool without waiting for the jobs
-    in flight.  Forked workers inherit the loaded
-    modules, so the pool costs no re-import.  A worker that dies, say at
-    the hands of the OOM killer, takes its job with it, so SolverError is
-    raised rather than waiting for that job forever.  Otherwise the jobs
-    run here, one after another.
+    in flight.  A worker that dies, say at the hands of the OOM killer,
+    takes its job with it, so SolverError is raised rather than waiting
+    for that job forever.  Otherwise the jobs run here, one after
+    another.
     """
     workers = min(_sweep_workers(), len(jobs))
     if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            import signal
-
             ctx = multiprocessing.get_context("fork")
             others = set(multiprocessing.active_children())
-            with ctx.Pool(workers, signal.signal,
-                          (signal.SIGINT, signal.SIG_IGN)) as pool:
+            with ctx.Pool(workers, _start_worker, (fn, jobs)) as pool:
                 started = set(multiprocessing.active_children()) - others
-                pending = [pool.apply_async(_solve_chunk, (cfg, *job))
-                           for job in jobs]
+                pending = [pool.apply_async(_run_job, (n,)) for n in range(len(jobs))]
                 for result in pending:
                     while not result.ready():
                         for worker in started:
                             if worker.exitcode is not None:
                                 raise SolverError(
-                                    f"sweep worker {worker.pid} ended with "
-                                    f"exit code {worker.exitcode}; rerun to "
-                                    "resume from the chunks written"
+                                    f"worker {worker.pid} ended with exit "
+                                    f"code {worker.exitcode}"
                                 )
                         result.wait(1.0)
                     yield result.get()
             return
     for job in jobs:
-        yield _solve_chunk(cfg, *job)
+        yield fn(*job)
 
 
 def generate(cfg, log=None):
@@ -479,7 +496,7 @@ def generate(cfg, log=None):
                          frozenset(chunk[n] for n in missing)))
 
     failures = 0
-    with contextlib.closing(_solved_chunks(cfg, jobs)) as chunks:
+    with contextlib.closing(_fanned_out(partial(_solve_chunk, cfg), jobs)) as chunks:
         for results in chunks:
             n_records = len(ds.records)
             for control, record, converged, sweeps, error in results:
@@ -658,6 +675,12 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
     from the transition (left for xxz/bh2s, right for bh), 20% of the
     window width.  Each window trains with a fresh seed offset.  A window
     whose training raises is noted in the header and its column is NaN.
+
+    The windows are independent of each other, so they train in the
+    forked workers ``generate`` solves its chunks in (``_fanned_out``),
+    or here, one after another, with one worker or without fork.  This
+    process writes the log lines and the file in window order, so the
+    file is byte-identical for any worker count.
     """
     log = log if log is not None else sys.stderr
     if len(windows) < 2:
@@ -666,29 +689,36 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
     if cfg is None:
         cfg = default_train_config(ds.model_id, **(overrides or {}))
     features, sequence = dataset_features(ds, n_feat)
-    controls = [float(f.control_value) for f in features]
-    columns = {}
-    notes = {}
+
+    def one_window(i, train_window, val_window):
+        """(score by control, converged) of one window, or (None, the
+        message) when its training raised."""
+        try:
+            det = gan.train(features, replace(cfg, seed=cfg.seed + i),
+                            train_window, val_window, sequence=sequence)
+            rows = gan.scan(det, features)
+        except Exception as exc:  # noqa: BLE001 - partial output contract
+            return None, str(exc)
+        return {r["control_value"]: r["anomaly_score"] for r in rows}, det.converged
+
+    jobs = []
     for i, (lo, hi) in enumerate(windows):
         width = 0.2 * (hi - lo)
-        if VAL_SIDE[ds.model_id] == "left":
-            val_window = (lo - width, lo)
-        else:
-            val_window = (hi, hi + width)
-        wcfg = replace(cfg, seed=cfg.seed + i)
-        name = f"score_w{i}"
-        try:
-            det = gan.train(features, wcfg, (lo, hi), val_window,
-                            sequence=sequence)
-            rows = gan.scan(det, features)
-            columns[name] = {r["control_value"]: r["anomaly_score"] for r in rows}
-            notes[name] = f"window=[{lo},{hi}] val=[{val_window[0]},{val_window[1]}] converged={det.converged}"
-        except Exception as exc:  # noqa: BLE001 - partial output contract
-            print(f"[stability] window {i} failed: {exc}", file=log)
-            columns[name] = {}
-            notes[name] = f"window=[{lo},{hi}] FAILED: {exc}"
+        val = (lo - width, lo) if VAL_SIDE[ds.model_id] == "left" else (hi, hi + width)
+        jobs.append((i, (lo, hi), val))
+    columns = {}
+    notes = {}
+    with contextlib.closing(_fanned_out(one_window, jobs)) as results:
+        for (i, (lo, hi), (v_lo, v_hi)), (scores, outcome) in zip(jobs, results):
+            name = f"score_w{i}"
+            if scores is None:
+                print(f"[stability] window {i} failed: {outcome}", file=log)
+                notes[name] = f"window=[{lo},{hi}] FAILED: {outcome}"
+            else:
+                notes[name] = f"window=[{lo},{hi}] val=[{v_lo},{v_hi}] converged={outcome}"
+            columns[name] = scores or {}
     rows = []
-    for c in sorted(controls):
+    for c in sorted(float(f.control_value) for f in features):
         row = {"control_value": c}
         for name, scores in columns.items():
             row[name] = scores.get(c, float("nan"))

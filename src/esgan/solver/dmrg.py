@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import expanded_terms
+from ..models import ConfigError, expanded_terms
 from .lanczos import lowest_eigenpair
 from .mps import ChargeBlocks, MPSState, charge_keys, move_center, mps_norm, product_mps
 
@@ -63,6 +63,16 @@ class DmrgConfig:
     max_sweeps: int = 12
     seed: int = 0
     warmup_sweeps: int = 2
+
+    def __post_init__(self):
+        # convergence compares two full-size sweeps, which a cold run
+        # reaches only after its warm-up sweeps
+        if self.max_sweeps <= self.warmup_sweeps + 1:
+            raise ConfigError(
+                f"max_sweeps {self.max_sweeps} leaves fewer than two full-size "
+                f"sweeps after {self.warmup_sweeps} warm-up sweeps, so a cold run "
+                "can never converge"
+            )
 
 
 class ConvergenceWarning(UserWarning):

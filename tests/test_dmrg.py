@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from esgan.models import build_model
+from esgan.models import ConfigError, build_model
 from esgan.solver import (
     DmrgConfig,
     dmrg_ground_state,
@@ -52,6 +52,13 @@ def test_xxz_small_chain_matches_ed():
     assert psi.converged
     assert abs(psi.energy - e_ed) < 1e-9
     assert abs(mps_norm(psi) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("max_sweeps, warmup_sweeps", [(3, 2), (2, 1), (1, 0)])
+def test_config_rejects_too_few_sweeps_to_converge(max_sweeps, warmup_sweeps):
+    with pytest.raises(ConfigError, match="can never converge"):
+        DmrgConfig(max_sweeps=max_sweeps, warmup_sweeps=warmup_sweeps)
+    DmrgConfig(max_sweeps=max_sweeps + 1, warmup_sweeps=warmup_sweeps)
 
 
 def test_two_site_chain_exact():

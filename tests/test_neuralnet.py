@@ -87,6 +87,38 @@ def test_maxpool_indivisible_length():
         maxpool_forward(np.zeros(5), 2)
 
 
+def _maxpool_by_take_along_axis(x, window):
+    # the gather/scatter pair the pooling layer used before it picked
+    # entries by flat position: the reference for bit-identity
+    blocks = x.reshape(x.shape[:-1] + (x.shape[-1] // window, window))
+    idx = blocks.argmax(axis=-1)
+    pooled = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+
+    def backward(g):
+        out = np.zeros(g.shape[:-1] + (g.shape[-1], window))
+        np.put_along_axis(out, idx[..., None], g[..., None], axis=-1)
+        return out.reshape(g.shape[:-1] + (g.shape[-1] * window,))
+
+    return pooled, idx, backward
+
+
+@pytest.mark.parametrize("shape, window", [((12,), 2), ((5, 12), 3), ((2, 3, 8), 4)])
+def test_maxpool_matches_take_along_axis_bitwise(shape, window):
+    rng = np.random.default_rng(7)
+    x = np.maximum(rng.standard_normal(shape), 0.0)  # relu output: ties at 0
+    flat = x.reshape(-1)
+    flat[1] = flat[0] = -0.0  # a signed-zero tie
+    flat[window + 1] = np.nan  # a NaN second in its window
+    flat[-1] = flat[-2] = 0.75
+    pooled, idx = maxpool_forward(x, window)
+    want, want_idx, backward = _maxpool_by_take_along_axis(x, window)
+    assert np.array_equal(idx, want_idx)
+    assert pooled.tobytes() == want.tobytes()
+    g = rng.standard_normal(pooled.shape)
+    g.reshape(-1)[0] = -0.0
+    assert maxpool_backward(g, idx, window).tobytes() == backward(g).tobytes()
+
+
 # -------------------------------------------------------------- upsample
 
 def test_upsample_repeats_entries():
@@ -226,6 +258,65 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(state, {"p": p}, {"p": np.array([np.nan])}, lr=0.01)
 
 
+def _adam_per_array(state, params, grads, lr):
+    # the update as written per parameter array, with a dict of moments
+    # per name: the reference the flat update must match bit for bit
+    state["t"] += 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    corr1 = 1.0 - b1**state["t"]
+    corr2 = 1.0 - b2**state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+
+
+def _mixed_shape_params(rng):
+    return {"a.W": rng.standard_normal((5, 3)), "a.b": rng.standard_normal(5),
+            "b.W": rng.standard_normal((2, 5)), "b.b": np.zeros(2)}
+
+
+def test_adam_flat_update_matches_per_array_formula_bitwise():
+    rng = np.random.default_rng(11)
+    params = _mixed_shape_params(rng)
+    ref = {name: p.copy() for name, p in params.items()}
+    state, ref_state = OptimizerState(), {"t": 0, "m": {}, "v": {}}
+    for step in range(25):
+        scale = 10.0 ** rng.integers(-8, 3)
+        grads = {name: scale * rng.standard_normal(p.shape) for name, p in params.items()}
+        grads["b.b"][0] = 0.0
+        lr = 0.01 * (1.0 + np.cos(step / 7.0))
+        adam_step(state, params, grads, lr)
+        _adam_per_array(ref_state, ref, grads, lr)
+        for name in params:
+            assert params[name].tobytes() == ref[name].tobytes(), (step, name)
+    assert state.t == ref_state["t"]
+    for flat, per_array in ((state.m, ref_state["m"]), (state.v, ref_state["v"])):
+        assert flat.tobytes() == b"".join(a.tobytes() for a in per_array.values())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_nonfinite_gradient_changes_nothing(bad):
+    rng = np.random.default_rng(3)
+    params = _mixed_shape_params(rng)
+    state = OptimizerState()
+    grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+    adam_step(state, params, grads, 0.01)
+    before = {name: p.copy() for name, p in params.items()}
+    m, v = state.m.copy(), state.v.copy()
+    grads["b.W"][1, 2] = bad
+    with pytest.raises(DivergenceError, match="non-finite gradient in b.W"):
+        adam_step(state, params, grads, 0.01)
+    assert state.t == 1
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    assert all(params[name].tobytes() == before[name].tobytes() for name in params)
+
+
 # ---------------------------------------------------------------- cosine
 
 def test_cosine_lr_anchors():
@@ -283,7 +374,8 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     path1 = str(tmp_path / "a.ckpt")
     path2 = str(tmp_path / "b.ckpt")
     save_checkpoint(path1, meta, arrays)
-    lines = open(path1).read().splitlines()
+    with open(path1) as fh:
+        lines = fh.read().splitlines()
     assert "array W 2 4 3" in lines and "array x 0" in lines
     meta2, arrays2 = load_checkpoint(path1)
     assert meta2 == meta
@@ -302,7 +394,8 @@ def test_checkpoint_rejects_malformed_lines_naming_path_and_line(tmp_path):
         {"W": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
     )
     assert sorted(os.listdir(tmp_path)) == ["good.ckpt"]  # no temp file left
-    lines = open(good).read().splitlines()
+    with open(good) as fh:
+        lines = fh.read().splitlines()
     # 1 magic, 2-3 meta, 4 array W header, 5 values, 6 array b header, 7 values
     assert lines[3].startswith("array W") and lines[5].startswith("array b")
     bad_hex = lines[4].split()

@@ -219,11 +219,13 @@ def test_generate_resume_skips_existing_points(tmp_path):
     import time
 
     ds, path = tiny_sweep(tmp_path, count=5)
-    before = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        before = fh.read()
     t0 = time.time()
     ds2, _ = tiny_sweep(tmp_path, count=5)
     assert time.time() - t0 < 0.5  # no recomputation
-    assert open(path, "rb").read() == before
+    with open(path, "rb") as fh:
+        assert fh.read() == before
 
 
 def _head_of_grid(tmp_path, monkeypatch, name, count):
@@ -448,18 +450,23 @@ def test_warm_started_chains_match_ed_across_transitions(tmp_path, model_id, L, 
                 )
 
 
-def test_generate_logs_unconverged_points_and_keeps_them(tmp_path):
-    # two warm-up sweeps leave a single full-size sweep, too few to judge
-    # convergence, so every point ends unconverged
+def test_generate_logs_unconverged_points_and_keeps_them(tmp_path, monkeypatch):
+    # no change of the sweep energy is below a tolerance of zero, so every
+    # point ends unconverged
+    solve = pipeline.dmrg_ground_state
+    monkeypatch.setattr(
+        pipeline, "dmrg_ground_state",
+        lambda spec, config, psi0=None: solve(spec, replace(config, energy_tol=0.0), psi0),
+    )
     cfg = SweepConfig(
         model_id="xxz", L=6, control_min=-1.0, control_max=0.0, count=3,
-        chi_max=16, max_sweeps=3, out_path=str(tmp_path / "u.ds"),
+        chi_max=16, max_sweeps=4, out_path=str(tmp_path / "u.ds"),
     )
     log = io.StringIO()
     ds, path = generate(cfg, log=log)
     assert len(read_dataset(path).records) == len(ds.records) == 3
     assert log.getvalue().splitlines() == [
-        f"[generate] {c:g} not converged in 3 sweeps" for c in (-1.0, -0.5, 0.0)
+        f"[generate] {c:g} not converged in 4 sweeps" for c in (-1.0, -0.5, 0.0)
     ]
 
 
@@ -501,6 +508,10 @@ def test_sweep_config_validation():
                     count=5, step=0.1)
     with pytest.raises(ConfigError):
         SweepConfig(model_id="nope", L=6, control_min=-1.0, control_max=0.0, count=5)
+    # two warm-up sweeps and one full-size sweep: no convergence test
+    with pytest.raises(ConfigError, match="can never converge"):
+        SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0,
+                    count=5, max_sweeps=3)
 
 
 def test_step_grid_point_count():
@@ -549,6 +560,22 @@ def test_train_scan_kl_towers_end_to_end(tmp_path):
     towers, _ = towers_cmd(path, -0.5, out_path=str(tmp_path / "tow.csv"))
     zero_rows = [r for r in towers.rows if r["delta_n"] == 0 and r["k"] == 0]
     assert zero_rows and zero_rows[0]["rescaled"] == 0.0
+
+
+DEMO = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demo_output")
+
+
+def test_train_cmd_reproduces_the_demo_detector_byte_for_byte(tmp_path):
+    # the committed BH demo detector (demos/bose_hubbard_detection.py):
+    # any change to the arithmetic of training moves a bit of it
+    cfg = default_train_config("bh", seed=0, epochs_max=500)
+    ckpt = str(tmp_path / "det.json")
+    train_cmd(os.path.join(DEMO, "bh_L12_sweep.ds"), (0.0, 2.5), (2.5, 3.0),
+              cfg=cfg, out_path=ckpt)
+    for produced, committed in ((ckpt, "bh_L12_detector.json"),
+                                (ckpt + ".log.csv", "bh_L12_detector.json.log.csv")):
+        with open(produced, "rb") as fh, open(os.path.join(DEMO, committed), "rb") as ref:
+            assert fh.read() == ref.read(), committed
 
 
 def test_train_cmd_nonconvergence_still_writes_checkpoint(tmp_path):
@@ -613,6 +640,63 @@ def test_stability_cmd_multi_window(tmp_path):
     assert len(curve.rows) == 21
     with pytest.raises(ConfigError):
         stability_cmd(path, [(-0.5, 0.0)], cfg=cfg)
+
+
+def _stability_run(tmp_path, monkeypatch, workers, name):
+    """(file bytes, log) of a three-window stability run in ``workers``
+    forked workers."""
+    ds, path = tiny_sweep(tmp_path, count=21, L=6, name="stab.ds")
+    cfg = default_train_config(
+        "xxz", epochs_max=3, batch_size=4, seed=2,
+        threshold_train=10.0, threshold_val=10.0,
+    )
+    log = io.StringIO()
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_sweep_workers", lambda: workers)
+        stability_cmd(path, [(-0.5, 0.0), (-0.4, 0.0), (-0.6, -0.1)], cfg=cfg,
+                      out_path=str(tmp_path / name), log=log)
+    assert multiprocessing.active_children() == []
+    with open(tmp_path / name, "rb") as fh:
+        return fh.read(), log.getvalue()
+
+
+def test_stability_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    serial = _stability_run(tmp_path, monkeypatch, 1, "serial.csv")
+    assert _stability_run(tmp_path, monkeypatch, 2, "fan_out.csv") == serial
+
+
+def test_stability_window_failing_in_a_worker_is_a_nan_column(tmp_path, monkeypatch):
+    train, parent = pipeline.gan.train, os.getpid()
+
+    def failing(features, cfg, *args, **kwargs):
+        if cfg.seed == 3:  # the second window
+            where = "worker" if os.getpid() != parent else "parent"
+            raise RuntimeError(f"window broke in {where}")
+        return train(features, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.gan, "train", failing)
+    _, log = _stability_run(tmp_path, monkeypatch, 2, "stab.csv")
+    assert log == "[stability] window 1 failed: window broke in worker\n"
+    curve = read_curve(str(tmp_path / "stab.csv"))
+    assert curve.metadata["score_w1"] == "window=[-0.4,0.0] FAILED: window broke in worker"
+    assert "converged=True" in curve.metadata["score_w2"]
+    assert np.all(np.isnan(curve.column("score_w1")))
+    assert np.all(np.isfinite(curve.column("score_w0")))
+    assert np.all(np.isfinite(curve.column("score_w2")))
+
+
+def test_stability_killed_worker_raises_instead_of_hanging(tmp_path, monkeypatch):
+    train, parent = pipeline.gan.train, os.getpid()
+
+    def killed(features, cfg, *args, **kwargs):
+        if cfg.seed == 3 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return train(features, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.gan, "train", killed)
+    with pytest.raises(SolverError, match=r"^worker \d+ ended with exit code -9$"):
+        _stability_run(tmp_path, monkeypatch, 2, "stab.csv")
+    assert multiprocessing.active_children() == []
 
 
 def test_commands_name_an_empty_dataset(tmp_path):
