@@ -55,7 +55,13 @@ NOISE_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class DmrgConfig:
-    """Knobs of the sweep solver."""
+    """Knobs of the sweep solver.
+
+    ``max_sweeps`` must exceed ``warmup_sweeps + 1``, or a cold run could
+    never converge; the rule holds for warm-started runs too, which skip
+    the warm-up and could converge in two sweeps, so that one config
+    serves both.
+    """
 
     chi_max: int = 64
     svd_cutoff: float = 1e-10
@@ -406,7 +412,8 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     product state with ``config.warmup_sweeps`` noisy warm-up sweeps; with
     it, the search starts from a copy of ``psi0`` (say the converged state
     of a neighbouring control value) and runs full sweeps only, so it can
-    stop after two.  ``psi0`` is left untouched; one of another length,
+    stop after two (``config`` still needs ``max_sweeps`` above
+    ``warmup_sweeps + 1``, see DmrgConfig).  ``psi0`` is left untouched; one of another length,
     local basis or sector raises ValueError.  The returned state carries
     the exact variational energy <H>, the accumulated truncated weight,
     per-sweep energies, and a ``converged`` flag; non-convergence also

@@ -451,12 +451,16 @@ def test_warm_started_chains_match_ed_across_transitions(tmp_path, model_id, L, 
 
 
 def test_generate_logs_unconverged_points_and_keeps_them(tmp_path, monkeypatch):
-    # no change of the sweep energy is below a tolerance of zero, so every
-    # point ends unconverged
+    # cold solves get a tolerance of zero, which no change of the sweep
+    # energy is below, so every point ends unconverged; a warm solve keeps
+    # the default tolerance and would converge, so the log also shows that
+    # no unconverged state seeds the next point
     solve = pipeline.dmrg_ground_state
     monkeypatch.setattr(
         pipeline, "dmrg_ground_state",
-        lambda spec, config, psi0=None: solve(spec, replace(config, energy_tol=0.0), psi0),
+        lambda spec, config, psi0=None: solve(
+            spec, replace(config, energy_tol=0.0) if psi0 is None else config, psi0
+        ),
     )
     cfg = SweepConfig(
         model_id="xxz", L=6, control_min=-1.0, control_max=0.0, count=3,
