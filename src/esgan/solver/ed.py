@@ -9,8 +9,6 @@ when scattering Hamiltonian matrix elements.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh
 
 from ..models import expanded_terms, initial_product_configuration
 from .lanczos import lowest_eigenpair
@@ -72,6 +70,8 @@ def _encode(configs, local_dim):
 
 def build_sector_hamiltonian(spec, basis=None):
     """Sparse symmetric Hamiltonian restricted to the target charge sector."""
+    import scipy.sparse as sp  # local: the detection commands run without scipy
+
     if basis is None:
         basis = sector_basis(spec)
     n = basis.shape[0]
@@ -142,6 +142,8 @@ def ed_ground_state(spec, tol=1e-10, seed=1234):
     a seeded random perturbation, which makes runs reproducible while
     keeping the overlap with the ground state generic.
     """
+    from scipy.linalg import eigh  # local: the detection commands run without scipy
+
     basis = sector_basis(spec)
     n = basis.shape[0]
     if n == 0:

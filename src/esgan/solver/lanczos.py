@@ -8,7 +8,6 @@ matrix stays tridiagonal to machine precision and restarts are cheap.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
@@ -35,6 +34,9 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
     x : ndarray, unit norm
     info : dict with keys converged, residual, restarts, matvecs
     """
+    # local import: the detection commands run without scipy
+    from scipy.linalg import eigh_tridiagonal
+
     v = np.asarray(v0, dtype=np.float64).ravel().copy()
     n = v.size
     nrm = np.linalg.norm(v)
@@ -46,11 +48,12 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
     x = v
     n_matvec = 0
     residual = np.inf
+    # one basis for every restart: a restart reads only the rows it wrote
+    V = np.empty((m_cap, n))
+    alphas = np.empty(m_cap)
+    betas = np.empty(max(m_cap - 1, 0))
     for restart in range(max_restarts):
-        V = np.empty((m_cap, n))
         V[0] = v
-        alphas = np.empty(m_cap)
-        betas = np.empty(max(m_cap - 1, 0))
         m = 0
         exhausted = False
         for j in range(m_cap):

@@ -8,7 +8,6 @@ time (charge conservation makes it block diagonal).
 """
 
 import numpy as np
-from scipy.linalg import svd
 
 from ..models import control_value
 from ..spectra import make_labeled_spectrum
@@ -18,6 +17,8 @@ from .mps import MPSState, schmidt_values
 
 def _statevector_schmidt(state, bond):
     """(p, left charges) of a dense sector state cut after site ``bond``."""
+    from scipy.linalg import svd  # local: the detection commands run without scipy
+
     spec = state.spec
     basis = state.basis
     left, left_inv = np.unique(basis[:, :bond], axis=0, return_inverse=True)

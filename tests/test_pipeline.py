@@ -55,6 +55,9 @@ def tiny_sweep(tmp_path, count=5, L=6, lo=-1.0, hi=0.0, name="t.ds", **kwargs):
     return generate(cfg, **kwargs)
 
 
+DEMO = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demo_output")
+
+
 # ----------------------------------------------------------------- formats
 
 def test_dataset_round_trip_is_lossless(tmp_path):
@@ -406,21 +409,89 @@ def test_sweep_workers_share_the_cpus_with_blas_threads(monkeypatch, env, worker
     assert pipeline._sweep_workers() == workers
 
 
+def _fresh_python(code, *args, **env):
+    """Last stdout line of ``code`` run in a new interpreter that imports
+    esgan from this checkout, with ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_importing_pipeline_loads_no_process_pool():
     # the pool's modules load only when a sweep fans out, which keeps
     # them out of every command's start-up time
-    src = os.path.dirname(os.path.dirname(pipeline.__file__))
     code = (
         "import sys, esgan.pipeline; "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
         "if m in sys.modules])"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+SCIPY = "[m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules]"
+
+DETECTION_WITHOUT_SCIPY = f"""
+import io, os, sys
+import esgan, esgan.cli
+from esgan import cli, pipeline
+from esgan.gan import default_train_config
+demo, out = sys.argv[1:]
+bh, xxz = (os.path.join(demo, n) for n in ("bh_L12_sweep.ds", "xxz_L16_sweep.ds"))
+ckpt = os.path.join(out, "det.json")
+codes = [cli.main(argv) for argv in (
+    ["train", bh, "--train-window", "0", "2.5", "--val-window", "2.5", "3",
+     "--epochs-max", "3", "--out", ckpt],
+    ["scan", ckpt, bh, "--kl", "--out", os.path.join(out, "scan.csv")],
+    ["kl", xxz, "--out", os.path.join(out, "kl.csv")],
+    ["towers", xxz, "--control", "-0.5", "--out", os.path.join(out, "towers.csv")],
+)]
+pipeline.stability_cmd(xxz, [(-0.65, 0.0), (-0.5, 0.0)],
+                       cfg=default_train_config("xxz", epochs_max=2),
+                       out_path=os.path.join(out, "stability.csv"), log=io.StringIO())
+detection = {SCIPY}
+from esgan.models import build_model
+from esgan.solver import DmrgConfig, dmrg_ground_state
+dmrg_ground_state(build_model("xxz", 4, -0.5), DmrgConfig(chi_max=4))
+print(codes, detection, {SCIPY})
+"""
+
+
+def test_detection_commands_load_no_scipy(tmp_path):
+    # scipy serves only the solver; loading it would double the start-up
+    # time of every command that reads a dataset and never solves
+    # (train stops after 3 epochs unconverged: exit code 3)
+    assert _fresh_python(DETECTION_WITHOUT_SCIPY, DEMO, tmp_path) == (
+        "[3, 0, 0, 0] [] ['scipy.linalg']"
+    )
+
+
+FAN_OUT_WITHOUT_SCIPY = f"""
+import multiprocessing, sys
+from esgan import pipeline
+workers, out = int(sys.argv[1]), sys.argv[2]
+pipeline._sweep_workers = lambda: workers
+before = {SCIPY}
+pipeline.generate(pipeline.SweepConfig(
+    model_id="xxz", L=6, control_min=-1.0, control_max=0.0, count=20,
+    chi_max=16, out_path=out))
+print(before, {SCIPY}, multiprocessing.active_children())
+"""
+
+
+def test_fan_out_from_a_parent_without_scipy(tmp_path):
+    # two chunks in two forked workers: the parent solves nothing, so each
+    # worker loads scipy for itself, and the file still equals one worker's
+    runs = {}
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}.ds"
+        runs[workers] = _fresh_python(FAN_OUT_WITHOUT_SCIPY, workers, path,
+                                      OPENBLAS_NUM_THREADS="1")
+    assert runs == {1: "[] ['scipy.linalg'] []", 2: "[] [] []"}
+    assert (tmp_path / "w2.ds").read_bytes() == (tmp_path / "w1.ds").read_bytes()
 
 
 def _spectrum_table(spectrum):
@@ -564,9 +635,6 @@ def test_train_scan_kl_towers_end_to_end(tmp_path):
     towers, _ = towers_cmd(path, -0.5, out_path=str(tmp_path / "tow.csv"))
     zero_rows = [r for r in towers.rows if r["delta_n"] == 0 and r["k"] == 0]
     assert zero_rows and zero_rows[0]["rescaled"] == 0.0
-
-
-DEMO = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demo_output")
 
 
 def test_train_cmd_reproduces_the_demo_detector_byte_for_byte(tmp_path):

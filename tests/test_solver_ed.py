@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from esgan.models import Bh2sParams, BhParams, XxzParams, build_bh, build_bh2s, build_xxz
 from esgan.solver.ed import build_sector_hamiltonian, ed_ground_state, sector_basis
@@ -54,6 +55,95 @@ def test_lanczos_small_dimension():
     A = np.diag([3.0, -1.0, 2.0])
     theta, x, info = lowest_eigenpair(lambda v: A @ v, np.ones(3), tol=1e-12)
     assert abs(theta + 1.0) < 1e-12
+
+
+def _per_restart_lanczos(matvec, v0, tol, krylov_dim, max_restarts):
+    """lowest_eigenpair as it was when every restart allocated its own
+    Krylov basis: the reference its single allocation must match."""
+    v = np.asarray(v0, dtype=np.float64).ravel().copy()
+    n = v.size
+    v /= np.linalg.norm(v)
+    m_cap = min(krylov_dim, n)
+    theta, x, n_matvec, residual = np.inf, v, 0, np.inf
+    for restart in range(max_restarts):
+        V = np.empty((m_cap, n))
+        V[0] = v
+        alphas = np.empty(m_cap)
+        betas = np.empty(max(m_cap - 1, 0))
+        m = 0
+        exhausted = False
+        for j in range(m_cap):
+            w = matvec(V[j])
+            n_matvec += 1
+            alphas[j] = V[j] @ w
+            m = j + 1
+            if j == m_cap - 1:
+                break
+            w = w - alphas[j] * V[j]
+            if j > 0:
+                w = w - betas[j - 1] * V[j - 1]
+            for _ in range(2):
+                w -= V[: j + 1].T @ (V[: j + 1] @ w)
+            beta = np.linalg.norm(w)
+            if beta < 1e-13 * max(1.0, abs(alphas[0])):
+                exhausted = True
+                break
+            betas[j] = beta
+            V[j + 1] = w / beta
+        if m == 1:
+            theta, x = alphas[0], V[0]
+        else:
+            evals, evecs = eigh_tridiagonal(
+                alphas[:m], betas[: m - 1], select="i", select_range=(0, 0)
+            )
+            theta = evals[0]
+            x = V[:m].T @ evecs[:, 0]
+            x /= np.linalg.norm(x)
+        r = matvec(x) - theta * x
+        n_matvec += 1
+        residual = np.linalg.norm(r)
+        if residual <= tol * max(1.0, abs(theta)) or (exhausted and m < m_cap):
+            return theta, x, {"converged": True, "residual": float(residual),
+                              "restarts": restart + 1, "matvecs": n_matvec}
+        v = x
+    return theta, x, {"converged": False, "residual": float(residual),
+                      "restarts": max_restarts, "matvecs": n_matvec}
+
+
+def _symmetric(n, seed):
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return (A + A.T) / 2
+
+
+@pytest.mark.parametrize(
+    "A, v0, krylov_dim, max_restarts, matvecs",
+    [
+        # restarts until converged, then runs out of restarts
+        (_symmetric(60, 3), np.ones(60), 4, 200, None),
+        (_symmetric(60, 3), np.ones(60), 4, 5, 5 * 5),
+        # n < krylov_dim, and a start vector in a 3-dimensional
+        # invariant subspace: the basis is exhausted after 3 vectors
+        (np.diag(np.arange(8.0)), np.r_[1.0, 2.0, 0, 0, 3.0, 0, 0, 0], 20, 200, 3 + 1),
+        (_symmetric(6, 4), np.ones(6), 20, 200, 6 + 1),
+    ],
+    ids=["restarting", "restart-cap", "invariant-subspace", "n-below-krylov"],
+)
+def test_lanczos_matches_per_restart_allocation_bit_for_bit(
+    A, v0, krylov_dim, max_restarts, matvecs
+):
+    def matvec(v):
+        return A @ v
+
+    args = (matvec, v0, 1e-12, krylov_dim, max_restarts)
+    theta, x, info = lowest_eigenpair(*args)
+    ref_theta, ref_x, ref_info = _per_restart_lanczos(*args)
+    if matvecs is None:
+        assert info["converged"] and info["restarts"] > 1
+    else:
+        assert info["matvecs"] == matvecs
+    assert info == ref_info
+    assert np.float64(theta).tobytes() == np.float64(ref_theta).tobytes()
+    assert x.tobytes() == ref_x.tobytes()
 
 
 def test_ed_xxz_free_fermion_energies():
