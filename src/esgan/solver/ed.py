@@ -70,7 +70,7 @@ def _encode(configs, local_dim):
 
 def build_sector_hamiltonian(spec, basis=None):
     """Sparse symmetric Hamiltonian restricted to the target charge sector."""
-    import scipy.sparse as sp  # local: the detection commands run without scipy
+    import scipy.sparse as sp  # local: sweeps and detection run without scipy
 
     if basis is None:
         basis = sector_basis(spec)
@@ -142,7 +142,7 @@ def ed_ground_state(spec, tol=1e-10, seed=1234):
     a seeded random perturbation, which makes runs reproducible while
     keeping the overlap with the ground state generic.
     """
-    from scipy.linalg import eigh  # local: the detection commands run without scipy
+    from scipy.linalg import eigh  # local: sweeps and detection run without scipy
 
     basis = sector_basis(spec)
     n = basis.shape[0]

@@ -3,11 +3,19 @@
 Used both for exact diagonalization in large symmetry sectors and for the
 local two-site eigenproblems inside the sweep solver.  The operator is
 given as a matvec closure; the Krylov basis is kept fully reorthogonalized
-(two Gram-Schmidt passes against all stored vectors), so the projected
+(one classical Gram-Schmidt pass against all stored vectors, and a second
+one when the DGKS test of Daniel, Gragg, Kaufman & Stewart, Math. Comp.
+30, 772 (1976), finds the first one cancelled too much), so the projected
 matrix stays tridiagonal to machine precision and restarts are cheap.
+The projected problem is at most krylov_dim x krylov_dim and is solved
+densely with numpy.
 """
 
 import numpy as np
+
+# DGKS threshold: a second Gram-Schmidt pass runs when the first one left
+# less than this share of the vector's norm
+DGKS_ETA = 1.0 / np.sqrt(2.0)
 
 
 def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
@@ -16,7 +24,8 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
     Parameters
     ----------
     matvec : callable
-        Maps a 1D float64 array to H @ v of the same shape.
+        Maps a 1D float64 array to H @ v of the same shape.  The returned
+        array is kept and reused, so it must be a fresh array.
     v0 : ndarray
         Starting vector, any nonzero norm.
     tol : float
@@ -32,11 +41,9 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
     -------
     theta : float
     x : ndarray, unit norm
-    info : dict with keys converged, residual, restarts, matvecs
+    info : dict with keys converged, residual, restarts, matvecs (the
+        products actually computed)
     """
-    # local import: the detection commands run without scipy
-    from scipy.linalg import eigh_tridiagonal
-
     v = np.asarray(v0, dtype=np.float64).ravel().copy()
     n = v.size
     nrm = np.linalg.norm(v)
@@ -48,45 +55,52 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
     x = v
     n_matvec = 0
     residual = np.inf
-    # one basis for every restart: a restart reads only the rows it wrote
+    # one basis and one projected matrix for every restart: a restart reads
+    # only the rows it wrote, and T[:m, :m] only its tridiagonal
     V = np.empty((m_cap, n))
-    alphas = np.empty(m_cap)
-    betas = np.empty(max(m_cap - 1, 0))
+    T = np.zeros((m_cap, m_cap))
+    hx = None  # H @ V[0]: a restart starts at the last one's Ritz vector
     for restart in range(max_restarts):
         V[0] = v
+        if hx is None:
+            hx = matvec(V[0])
+            n_matvec += 1
+        w = hx
         m = 0
         exhausted = False
         for j in range(m_cap):
-            w = matvec(V[j])
-            n_matvec += 1
-            alphas[j] = V[j] @ w
+            if j > 0:
+                w = matvec(V[j])
+                n_matvec += 1
+            alpha = V[j] @ w
+            T[j, j] = alpha
             m = j + 1
             if j == m_cap - 1:
                 break
-            w = w - alphas[j] * V[j]
+            w = w - alpha * V[j]
             if j > 0:
-                w = w - betas[j - 1] * V[j - 1]
-            # full reorthogonalization, two passes
-            for _ in range(2):
-                w -= V[: j + 1].T @ (V[: j + 1] @ w)
+                w = w - T[j, j - 1] * V[j - 1]
+            before = np.linalg.norm(w)
+            w -= V[: j + 1].T @ (V[: j + 1] @ w)
             beta = np.linalg.norm(w)
-            if beta < 1e-13 * max(1.0, abs(alphas[0])):
+            if beta < DGKS_ETA * before:
+                w -= V[: j + 1].T @ (V[: j + 1] @ w)
+                beta = np.linalg.norm(w)
+            if beta < 1e-13 * max(1.0, abs(T[0, 0])):
                 exhausted = True  # invariant subspace found
                 break
-            betas[j] = beta
+            T[j + 1, j] = T[j, j + 1] = beta
             V[j + 1] = w / beta
         if m == 1:
-            theta, x = alphas[0], V[0]
+            theta, x = T[0, 0], V[0]  # hx is already H @ x
         else:
-            evals, evecs = eigh_tridiagonal(
-                alphas[:m], betas[: m - 1], select="i", select_range=(0, 0)
-            )
+            evals, evecs = np.linalg.eigh(T[:m, :m])
             theta = evals[0]
             x = V[:m].T @ evecs[:, 0]
             x /= np.linalg.norm(x)
-        r = matvec(x) - theta * x
-        n_matvec += 1
-        residual = np.linalg.norm(r)
+            hx = matvec(x)
+            n_matvec += 1
+        residual = np.linalg.norm(hx - theta * x)
         if residual <= tol * max(1.0, abs(theta)) or (exhausted and m < m_cap):
             return theta, x, {
                 "converged": True,

@@ -17,7 +17,7 @@ from .mps import MPSState, schmidt_values
 
 def _statevector_schmidt(state, bond):
     """(p, left charges) of a dense sector state cut after site ``bond``."""
-    from scipy.linalg import svd  # local: the detection commands run without scipy
+    from scipy.linalg import svd  # local: sweeps and detection run without scipy
 
     spec = state.spec
     basis = state.basis

@@ -263,7 +263,11 @@ def align_to_reference(s, seq):
     The charge labels steer the placement but are not part of the output;
     absent slots give exact zeros.
     """
-    table = {(s.delta_n(e), e.k): e.p for e in s.entries}
+    labels = {}
+    for e in s.entries:
+        if e.charge not in labels:
+            labels[e.charge] = s.delta_n(e)
+    table = {(labels[e.charge], e.k): e.p for e in s.entries}
     values = np.array([table.get(slot, 0.0) for slot in seq.slots])
     return FeatureVector(
         values=values, control_value=s.control_value, L=s.L, model_id=s.model_id

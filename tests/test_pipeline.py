@@ -454,18 +454,21 @@ pipeline.stability_cmd(xxz, [(-0.65, 0.0), (-0.5, 0.0)],
                        out_path=os.path.join(out, "stability.csv"), log=io.StringIO())
 detection = {SCIPY}
 from esgan.models import build_model
-from esgan.solver import DmrgConfig, dmrg_ground_state
-dmrg_ground_state(build_model("xxz", 4, -0.5), DmrgConfig(chi_max=4))
-print(codes, detection, {SCIPY})
+from esgan.solver import DmrgConfig, dmrg_ground_state, ed_ground_state, schmidt_decompose
+schmidt_decompose(dmrg_ground_state(build_model("xxz", 4, -0.5), DmrgConfig(chi_max=4)))
+sweep = {SCIPY}
+ed_ground_state(build_model("xxz", 4, -0.5))
+print(codes, detection, sweep, {SCIPY})
 """
 
 
 def test_detection_commands_load_no_scipy(tmp_path):
-    # scipy serves only the solver; loading it would double the start-up
-    # time of every command that reads a dataset and never solves
-    # (train stops after 3 epochs unconverged: exit code 3)
+    # scipy serves only exact diagonalization; loading it would double
+    # the start-up time of every command that reads a dataset, and add
+    # its import to every sweep (train stops after 3 epochs unconverged:
+    # exit code 3)
     assert _fresh_python(DETECTION_WITHOUT_SCIPY, DEMO, tmp_path) == (
-        "[3, 0, 0, 0] [] ['scipy.linalg']"
+        "[3, 0, 0, 0] [] [] ['scipy.linalg', 'scipy.sparse']"
     )
 
 
@@ -483,14 +486,14 @@ print(before, {SCIPY}, multiprocessing.active_children())
 
 
 def test_fan_out_from_a_parent_without_scipy(tmp_path):
-    # two chunks in two forked workers: the parent solves nothing, so each
-    # worker loads scipy for itself, and the file still equals one worker's
+    # a sweep runs on numpy alone, whether the parent solves both chunks
+    # or two forked workers solve one each, and the files are equal
     runs = {}
     for workers in (1, 2):
         path = tmp_path / f"w{workers}.ds"
         runs[workers] = _fresh_python(FAN_OUT_WITHOUT_SCIPY, workers, path,
                                       OPENBLAS_NUM_THREADS="1")
-    assert runs == {1: "[] ['scipy.linalg'] []", 2: "[] [] []"}
+    assert runs == {1: "[] [] []", 2: "[] [] []"}
     assert (tmp_path / "w2.ds").read_bytes() == (tmp_path / "w1.ds").read_bytes()
 
 

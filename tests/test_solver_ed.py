@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from esgan.models import Bh2sParams, BhParams, XxzParams, build_bh, build_bh2s, build_xxz
 from esgan.solver.ed import build_sector_hamiltonian, ed_ground_state, sector_basis
-from esgan.solver.lanczos import lowest_eigenpair
+from esgan.solver.lanczos import DGKS_ETA, lowest_eigenpair
 
 from oracles import xx_ground_energy
 
@@ -59,49 +58,56 @@ def test_lanczos_small_dimension():
 
 def _per_restart_lanczos(matvec, v0, tol, krylov_dim, max_restarts):
     """lowest_eigenpair as it was when every restart allocated its own
-    Krylov basis: the reference its single allocation must match."""
+    Krylov basis and projected matrix: the reference its single
+    allocation must match."""
     v = np.asarray(v0, dtype=np.float64).ravel().copy()
     n = v.size
     v /= np.linalg.norm(v)
     m_cap = min(krylov_dim, n)
-    theta, x, n_matvec, residual = np.inf, v, 0, np.inf
+    theta, x, n_matvec, residual, hx = np.inf, v, 0, np.inf, None
     for restart in range(max_restarts):
         V = np.empty((m_cap, n))
         V[0] = v
-        alphas = np.empty(m_cap)
-        betas = np.empty(max(m_cap - 1, 0))
+        T = np.zeros((m_cap, m_cap))
+        if hx is None:
+            hx = matvec(V[0])
+            n_matvec += 1
+        w = hx
         m = 0
         exhausted = False
         for j in range(m_cap):
-            w = matvec(V[j])
-            n_matvec += 1
-            alphas[j] = V[j] @ w
+            if j > 0:
+                w = matvec(V[j])
+                n_matvec += 1
+            alpha = V[j] @ w
+            T[j, j] = alpha
             m = j + 1
             if j == m_cap - 1:
                 break
-            w = w - alphas[j] * V[j]
+            w = w - alpha * V[j]
             if j > 0:
-                w = w - betas[j - 1] * V[j - 1]
-            for _ in range(2):
-                w -= V[: j + 1].T @ (V[: j + 1] @ w)
+                w = w - T[j, j - 1] * V[j - 1]
+            before = np.linalg.norm(w)
+            w -= V[: j + 1].T @ (V[: j + 1] @ w)
             beta = np.linalg.norm(w)
-            if beta < 1e-13 * max(1.0, abs(alphas[0])):
+            if beta < DGKS_ETA * before:
+                w -= V[: j + 1].T @ (V[: j + 1] @ w)
+                beta = np.linalg.norm(w)
+            if beta < 1e-13 * max(1.0, abs(T[0, 0])):
                 exhausted = True
                 break
-            betas[j] = beta
+            T[j + 1, j] = T[j, j + 1] = beta
             V[j + 1] = w / beta
         if m == 1:
-            theta, x = alphas[0], V[0]
+            theta, x = T[0, 0], V[0]
         else:
-            evals, evecs = eigh_tridiagonal(
-                alphas[:m], betas[: m - 1], select="i", select_range=(0, 0)
-            )
+            evals, evecs = np.linalg.eigh(T[:m, :m])
             theta = evals[0]
             x = V[:m].T @ evecs[:, 0]
             x /= np.linalg.norm(x)
-        r = matvec(x) - theta * x
-        n_matvec += 1
-        residual = np.linalg.norm(r)
+            hx = matvec(x)
+            n_matvec += 1
+        residual = np.linalg.norm(hx - theta * x)
         if residual <= tol * max(1.0, abs(theta)) or (exhausted and m < m_cap):
             return theta, x, {"converged": True, "residual": float(residual),
                               "restarts": restart + 1, "matvecs": n_matvec}
@@ -118,15 +124,19 @@ def _symmetric(n, seed):
 @pytest.mark.parametrize(
     "A, v0, krylov_dim, max_restarts, matvecs",
     [
-        # restarts until converged, then runs out of restarts
+        # restarts until converged, then runs out of restarts; every
+        # restart after the first reuses the last one's residual product
         (_symmetric(60, 3), np.ones(60), 4, 200, None),
-        (_symmetric(60, 3), np.ones(60), 4, 5, 5 * 5),
+        (_symmetric(60, 3), np.ones(60), 4, 5, 5 + 4 * 4),
         # n < krylov_dim, and a start vector in a 3-dimensional
         # invariant subspace: the basis is exhausted after 3 vectors
         (np.diag(np.arange(8.0)), np.r_[1.0, 2.0, 0, 0, 3.0, 0, 0, 0], 20, 200, 3 + 1),
         (_symmetric(6, 4), np.ones(6), 20, 200, 6 + 1),
+        # an eigenvector as start: its own product gives the residual
+        (np.diag(np.arange(8.0)), np.eye(8)[2], 20, 200, 1),
     ],
-    ids=["restarting", "restart-cap", "invariant-subspace", "n-below-krylov"],
+    ids=["restarting", "restart-cap", "invariant-subspace", "n-below-krylov",
+         "eigenvector-start"],
 )
 def test_lanczos_matches_per_restart_allocation_bit_for_bit(
     A, v0, krylov_dim, max_restarts, matvecs
@@ -144,6 +154,75 @@ def test_lanczos_matches_per_restart_allocation_bit_for_bit(
     assert info == ref_info
     assert np.float64(theta).tobytes() == np.float64(ref_theta).tobytes()
     assert x.tobytes() == ref_x.tobytes()
+
+
+def _rotated(eigenvalues, seed):
+    """Symmetric matrix with the given spectrum and a random eigenbasis."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Q @ np.diag(eigenvalues) @ Q.T
+
+
+# a 3x3 block holding the lowest level, decoupled from the rest
+_BLOCKS = np.zeros((40, 40))
+_BLOCKS[:3, :3] = _symmetric(3, 5) - 10.0 * np.eye(3)
+_BLOCKS[3:, 3:] = _symmetric(37, 5)
+_DEGENERATE = _rotated(np.r_[-1.5, -1.5, -1.5, np.linspace(-1.0, 2.0, 47)], 6)
+
+
+@pytest.mark.parametrize(
+    "A, v0, restarts, matvecs",
+    [
+        (_symmetric(120, 8), np.ones(120), 6, None),
+        (_symmetric(9, 9), np.ones(9), 1, 9 + 1),
+        (np.array([[2.5]]), np.array([-3.0]), 1, 1),
+        # the start vector lies in the block: the basis is exhausted
+        # after 3 vectors
+        (_BLOCKS, np.r_[1.0, -2.0, 0.5, np.zeros(37)], 1, 3 + 1),
+        (_DEGENERATE, np.ones(50), 2, None),
+    ],
+    ids=["restarting", "n-below-krylov", "n-is-one", "invariant-subspace",
+         "degenerate-lowest"],
+)
+def test_lanczos_matches_dense_eigh(A, v0, restarts, matvecs):
+    tol = 1e-12
+    theta, x, info = lowest_eigenpair(lambda v: A @ v, v0, tol=tol)
+    ref = np.linalg.eigh(A)[0][0]
+    scale = max(1.0, abs(theta))
+    assert info["converged"] and info["restarts"] == restarts
+    assert matvecs is None or info["matvecs"] == matvecs
+    assert abs(theta - ref) <= 1e-12 * scale
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-14
+    assert np.linalg.norm(A @ x - theta * x) <= tol * scale
+
+
+def test_lanczos_second_pass_keeps_a_graded_basis_orthonormal():
+    # the levels span seven decades; the start vector has a 10^-3.5 share
+    # in the 10^7 level and 1e-17 in the others, so the first Krylov
+    # vectors nearly span an invariant subspace, and the three-term step
+    # leaves mostly rounding error of size eps * 1e7 along the basis:
+    # one Gram-Schmidt pass removes most of the norm, and only the DGKS
+    # second pass keeps the next vector orthogonal to eps
+    d = np.r_[-1.0, 1e7, np.linspace(0.0, 1.0, 10)]
+    A = np.diag(d)
+    v0 = np.r_[1.0, d[1] ** -0.5, np.full(10, 1e-17)]
+    inputs = []
+
+    def matvec(v):
+        inputs.append(v.copy())
+        return A @ v
+
+    tol = 1e-12
+    theta, x, info = lowest_eigenpair(matvec, v0, tol=tol)
+    assert info["converged"]
+    assert abs(theta + 1.0) <= 1e-12
+    assert np.linalg.norm(A @ x - theta * x) <= tol
+    # a restart's products are its basis vectors, then the Ritz vector,
+    # which is the next restart's first vector
+    m = A.shape[0]
+    for start in range(0, len(inputs) - 1, m):
+        Q = np.array(inputs[start:start + m])
+        assert np.abs(Q @ Q.T - np.eye(m)).max() < 1e-14
 
 
 def test_ed_xxz_free_fermion_energies():
