@@ -32,7 +32,19 @@ small seeded random perturbation to each two-site block, so charge sectors
 absent from the product start become reachable.  A warm search starts
 from a given MPS, typically the converged state of a nearby control value,
 which already spans the sectors that matter: it skips the warm-up sweeps
-and the noise and sweeps at full bond dimension from the first sweep.
+and the noise and sweeps at full bond dimension from the first sweep.  It
+also takes over that state's TwoSiteHeff layouts, one per bond, which
+depend on the bond charges and the MPO channels' charges only; a bond
+whose charges still match keeps its layout and just loads the new
+control's MPO tensors.
+
+A search converges when a full-size sweep's two halves agree: the energy
+at the end of its left half-sweep is within ``energy_tol`` of the energy
+at the end of the right half-sweep before it (Schollwoeck, Ann. Phys.
+326, 96 (2011)).  Testing after a left half-sweep only leaves the
+canonical center at site 0, where a warm start expects it.  A warm
+search from a close neighbour typically converges in one sweep, a cold
+one in its first or second full-size sweep.
 """
 
 import warnings
@@ -57,10 +69,10 @@ NOISE_SCALE = 1e-6
 class DmrgConfig:
     """Knobs of the sweep solver.
 
-    ``max_sweeps`` must exceed ``warmup_sweeps + 1``, or a cold run could
-    never converge; the rule holds for warm-started runs too, which skip
-    the warm-up and could converge in two sweeps, so that one config
-    serves both.
+    ``max_sweeps`` must exceed ``warmup_sweeps``, or a cold run would end
+    without a full-size sweep and could never converge; the rule holds for
+    warm-started runs too, which skip the warm-up and can converge in one
+    sweep, so that one config serves both.
     """
 
     chi_max: int = 64
@@ -71,13 +83,13 @@ class DmrgConfig:
     warmup_sweeps: int = 2
 
     def __post_init__(self):
-        # convergence compares two full-size sweeps, which a cold run
-        # reaches only after its warm-up sweeps
-        if self.max_sweeps <= self.warmup_sweeps + 1:
+        # convergence is tested on full-size sweeps only, which a cold run
+        # reaches after its warm-up sweeps
+        if self.max_sweeps <= self.warmup_sweeps:
             raise ConfigError(
-                f"max_sweeps {self.max_sweeps} leaves fewer than two full-size "
-                f"sweeps after {self.warmup_sweeps} warm-up sweeps, so a cold run "
-                "can never converge"
+                f"max_sweeps {self.max_sweeps} leaves no full-size sweep after "
+                f"{self.warmup_sweeps} warm-up sweeps, so a cold run can never "
+                "converge"
             )
 
 
@@ -223,15 +235,18 @@ class TwoSiteHeff:
     the left pieces side by side, Y_t = [LW_v]_(paths to t) . S_t.  Paths
     are ordered by (v, row) on both sides.
 
-    The index arithmetic depends on the charges only and happens here;
-    ``load`` fills in the pieces of one pair of environments, so a bond
+    The index arithmetic depends on the charges only (the blocks and the
+    channels' charge steps ``dk``) and happens here; ``load`` fills in the
+    pieces of one pair of environments from ``W1`` and ``W2``, so a bond
     whose charges did not change since its last visit reuses the whole
-    layout.  Every matvec reuses the same buffers.
+    layout, even under another MPO with the same ``dk``.  Every matvec
+    reuses the same buffers.
     """
 
     def __init__(self, blocks, channels):
         self.blocks = blocks
         self.W1, self.W2, dk = channels
+        self.dk = dk
         l, d, _, r = blocks.shape
         D = dk.size
         keys, nb = blocks.keys, blocks.keys.size
@@ -381,8 +396,9 @@ def _warm_start(spec, psi0):
     with its canonical center at site 0.
 
     A solve leaves its center at site 0 already, so its final state needs
-    no gauge move.  Raises ValueError when ``psi0`` has another length,
-    local basis or charge sector than ``spec``.
+    no gauge move.  The copy takes over ``psi0``'s layouts, which
+    ``psi0`` then no longer holds.  Raises ValueError when ``psi0`` has
+    another length, local basis or charge sector than ``spec``.
     """
     if psi0.L != spec.L:
         raise ValueError(f"psi0 has {psi0.L} sites, the model has {spec.L}")
@@ -398,7 +414,9 @@ def _warm_start(spec, psi0):
         bond_charges=[q.copy() for q in psi0.bond_charges],
         canonical_center=psi0.canonical_center,
         spec=spec,
+        layouts=psi0.layouts,
     )
+    psi0.layouts = None
     move_center(psi, 0)
     return psi
 
@@ -407,17 +425,21 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     """Ground state of the target charge sector as a charge-labeled MPS.
 
     Runs up to ``config.max_sweeps`` full (right + left) sweeps and stops
-    once the per-sweep energy estimate changes by less than
-    ``config.energy_tol``.  Without ``psi0`` the search starts cold from a
-    product state with ``config.warmup_sweeps`` noisy warm-up sweeps; with
-    it, the search starts from a copy of ``psi0`` (say the converged state
-    of a neighbouring control value) and runs full sweeps only, so it can
-    stop after two (``config`` still needs ``max_sweeps`` above
-    ``warmup_sweeps + 1``, see DmrgConfig).  ``psi0`` is left untouched; one of another length,
-    local basis or sector raises ValueError.  The returned state carries
-    the exact variational energy <H>, the accumulated truncated weight,
-    per-sweep energies, and a ``converged`` flag; non-convergence also
-    raises a ConvergenceWarning but still returns the state.
+    after the first full-size sweep whose left half ends within
+    ``config.energy_tol`` of the energy its right half ended at.  Without
+    ``psi0`` the search starts cold from a product state with
+    ``config.warmup_sweeps`` noisy warm-up sweeps; with it, the search
+    starts from a copy of ``psi0`` (say the converged state of a
+    neighbouring control value) and runs full sweeps only, so it can stop
+    after one (``config`` still needs ``max_sweeps`` above
+    ``warmup_sweeps``, see DmrgConfig).  ``psi0``'s tensors are left
+    untouched, but its H_eff layouts pass to the new state, which reuses
+    those that still fit; one of another length, local basis or sector
+    raises ValueError.  The returned state carries the exact variational
+    energy <H>, the accumulated truncated weight, per-sweep energies, a
+    ``converged`` flag and ``stats`` (matvecs, sweeps, layouts built);
+    non-convergence also raises a ConvergenceWarning but still returns
+    the state.
     """
     if config is None:
         config = DmrgConfig()
@@ -433,7 +455,18 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     L = spec.L
     c_mpo = mpo_charges(mpo, qsite)
     channels = [bond_channels(mpo[i], mpo[i + 1], c_mpo[i + 1]) for i in range(L - 1)]
-    layouts = [None] * (L - 1)  # per bond: the last TwoSiteHeff built there
+    if psi.layouts is None:
+        psi.layouts = [None] * (L - 1)
+    # per bond: the last TwoSiteHeff built there, here or by the solve
+    # psi0 came from; an inherited one fits while its channels carry the
+    # same charges (zero couplings drop channels, see bond_channels)
+    layouts = psi.layouts
+    for i, heff in enumerate(layouts):
+        if heff is not None and np.array_equal(heff.dk, channels[i][2]):
+            heff.W1, heff.W2 = channels[i][:2]
+        else:
+            layouts[i] = None
+    n_built = 0
     EL = [None] * (L + 1)
     ER = [None] * (L + 1)
     EL[0] = np.ones((1, 1, 1))
@@ -457,6 +490,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 heff = layouts[i]
                 if heff is None or not heff.blocks.matches(qL, qR):
                     heff = layouts[i] = TwoSiteHeff(TwoSiteBlocks(qL, qsite, qR), channels[i])
+                    n_built += 1
                 heff.load(EL[i], ER[i + 2])
                 blocks = heff.blocks
                 if warmup:
@@ -489,24 +523,29 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                     psi.site_tensors[i + 1] = Vt3
                     psi.canonical_center = i
                     ER[i + 1] = _contract_right(ER[i + 2], Vt3, mpo[i + 1])
+            if direction == "right":
+                energy_right = energy
         psi.sweep_energies.append(float(energy))
-        if not warmup and sweep_energy_prev is not None:
-            if energy > sweep_energy_prev + config.energy_tol:
+        if not warmup:
+            if sweep_energy_prev is not None and energy > sweep_energy_prev + config.energy_tol:
                 warnings.warn(
                     f"sweep energy rose by {energy - sweep_energy_prev:.3e}; "
                     "truncation is fighting the optimization",
                     ConvergenceWarning,
                 )
-            if abs(energy - sweep_energy_prev) < config.energy_tol:
+            if abs(energy - energy_right) < config.energy_tol:
                 converged = True
                 break
-        if not warmup:
             sweep_energy_prev = energy
     psi.converged = converged
     psi.truncation_error = total_discard
     psi.seed = config.seed
     psi.energy = expectation_value(psi, mpo)
-    psi.stats = {"matvecs": n_matvec, "sweeps": len(psi.sweep_energies)}
+    psi.stats = {
+        "matvecs": n_matvec,
+        "sweeps": len(psi.sweep_energies),
+        "layouts_built": n_built,
+    }
     if not converged:
         warnings.warn(
             f"energy not converged to {config.energy_tol} within "

@@ -127,7 +127,9 @@ class MPSState:
 
     ``bond_charges`` has L + 1 entries; entry b is an int64 array
     (chi_b, n_charges).  Bond 0 is the trivial left vacuum and bond L pins
-    the total charge to the target sector.
+    the total charge to the target sector.  ``layouts`` holds the sweep
+    solver's per-bond H_eff layouts (dmrg.TwoSiteHeff) for a warm start
+    to take over; it takes no part in comparisons, and copies leave it out.
     """
 
     site_tensors: list
@@ -140,6 +142,7 @@ class MPSState:
     converged: bool = False
     seed: int = 0
     stats: dict = field(default_factory=dict)
+    layouts: list = field(default=None, compare=False, repr=False)
 
     @property
     def L(self):

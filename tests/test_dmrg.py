@@ -56,9 +56,17 @@ def test_xxz_small_chain_matches_ed():
 
 @pytest.mark.parametrize("max_sweeps, warmup_sweeps", [(3, 2), (2, 1), (1, 0)])
 def test_config_rejects_too_few_sweeps_to_converge(max_sweeps, warmup_sweeps):
+    # one full-size sweep after the warm-up is enough; none is not
+    DmrgConfig(max_sweeps=max_sweeps, warmup_sweeps=warmup_sweeps)
     with pytest.raises(ConfigError, match="can never converge"):
-        DmrgConfig(max_sweeps=max_sweeps, warmup_sweeps=warmup_sweeps)
-    DmrgConfig(max_sweeps=max_sweeps + 1, warmup_sweeps=warmup_sweeps)
+        DmrgConfig(max_sweeps=max_sweeps - 1, warmup_sweeps=warmup_sweeps)
+
+
+def test_cold_run_converges_in_its_first_full_size_sweep():
+    spec = build_model("xxz", L=8, control=-0.5)
+    psi = run(spec, max_sweeps=3, warmup_sweeps=2, seed=1)
+    assert psi.converged and psi.stats["sweeps"] == 3
+    assert abs(psi.energy - ed_ground_state(spec)[0]) < 1e-9
 
 
 def test_two_site_chain_exact():
@@ -269,17 +277,51 @@ def test_two_species_four_sites_matches_ed_with_clean_charges():
     [("xxz", 10, -0.95, -0.9), ("bh", 8, 3.3, 3.4)],
     ids=["xxz", "bh"],
 )
-def test_warm_start_from_neighbour_converges_in_two_sweeps(model_id, L, neighbour, control):
+def test_warm_start_from_neighbour_converges_in_one_sweep(model_id, L, neighbour, control):
     cfg = DmrgConfig(chi_max=64, seed=2)
     psi0 = dmrg_ground_state(build_model(model_id, L, neighbour), cfg)
     before = [T.copy() for T in psi0.site_tensors]
     spec = build_model(model_id, L, control)
     cold = dmrg_ground_state(spec, cfg)
     warm = dmrg_ground_state(spec, cfg, psi0=psi0)
-    assert warm.converged and warm.stats["sweeps"] == 2
+    assert warm.converged and warm.stats["sweeps"] == 1
     assert abs(warm.energy - cold.energy) < cfg.energy_tol
     assert warm.spec is spec and check_charge_consistency(warm) == 0.0
     assert all(np.array_equal(a, b) for a, b in zip(before, psi0.site_tensors))
+
+
+def test_inherited_layouts_give_bit_identical_states():
+    # XXZ at delta = 0 has no zz channel (bond_channels drops zero
+    # couplings), so the chain into and out of it must rebuild every layout
+    # it inherits; away from it, bonds whose charges stay keep theirs
+    cfg = DmrgConfig(chi_max=64, seed=2)
+    psi = dmrg_ground_state(build_model("xxz", 8, -0.2), cfg)
+    for control, rebuilt in [(-0.1, False), (0.0, True), (0.1, True)]:
+        spec = build_model("xxz", 8, control)
+        fresh = dmrg_ground_state(spec, cfg, psi0=copy_mps(psi))
+        layouts = psi.layouts
+        warm = dmrg_ground_state(spec, cfg, psi0=psi)
+        assert psi.layouts is None and warm.layouts is layouts
+        assert all(np.array_equal(a, b) for a, b in zip(warm.site_tensors, fresh.site_tensors))
+        assert warm.energy == fresh.energy and warm.stats["sweeps"] == fresh.stats["sweeps"]
+        assert fresh.stats["layouts_built"] >= 7
+        if rebuilt:
+            assert warm.stats["layouts_built"] == fresh.stats["layouts_built"]
+        else:
+            assert warm.stats["layouts_built"] < fresh.stats["layouts_built"]
+        psi = warm
+
+
+def test_warm_chunk_work_counts():
+    # one 16-point chunk of a fine XXZ L=8 grid: after the cold first point
+    # every point converges in one sweep and builds no layout
+    cfg = DmrgConfig(seed=1234)
+    psi = None
+    work = []
+    for control in np.linspace(-0.8, -0.65, 16):
+        psi = dmrg_ground_state(build_model("xxz", 8, control), cfg, psi0=psi)
+        work.append((psi.stats["sweeps"], psi.stats["layouts_built"]))
+    assert work == [(3, 22)] + [(1, 0)] * 15
 
 
 def test_warm_start_rejects_wrong_length_basis_or_sector():

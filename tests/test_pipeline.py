@@ -586,10 +586,10 @@ def test_sweep_config_validation():
                     count=5, step=0.1)
     with pytest.raises(ConfigError):
         SweepConfig(model_id="nope", L=6, control_min=-1.0, control_max=0.0, count=5)
-    # two warm-up sweeps and one full-size sweep: no convergence test
+    # two warm-up sweeps and no full-size sweep: no convergence test
     with pytest.raises(ConfigError, match="can never converge"):
         SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0,
-                    count=5, max_sweeps=3)
+                    count=5, max_sweeps=2)
 
 
 def test_step_grid_point_count():
