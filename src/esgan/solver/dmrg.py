@@ -38,13 +38,20 @@ depend on the bond charges and the MPO channels' charges only; a bond
 whose charges still match keeps its layout and just loads the new
 control's MPO tensors.
 
-A search converges when a full-size sweep's two halves agree: the energy
-at the end of its left half-sweep is within ``energy_tol`` of the energy
-at the end of the right half-sweep before it (Schollwoeck, Ann. Phys.
-326, 96 (2011)).  Testing after a left half-sweep only leaves the
-canonical center at site 0, where a warm start expects it.  A warm
-search from a close neighbour typically converges in one sweep, a cold
-one in its first or second full-size sweep.
+A search converges after a full-size sweep whose two halves agree (two
+half-sweeps that agree, Schollwoeck, Ann. Phys. 326, 96 (2011)): the
+energy at the end of its left half-sweep is within ``energy_tol`` of the
+energy at the end of its right half-sweep, and the central bond's Schmidt
+weights, which the dataset records, moved by less than SCHMIDT_TOL from
+one half to the other.  The energy alone would not do: its error is
+quadratic in the state's, so halves within 1e-9 in energy leave the
+weights moving at 1e-8 on long chains.  A search also converges when its
+energy agrees with the previous full-size sweep's within ``energy_tol``,
+which stops a truncation cycle whose halves never agree.  Testing after
+a left half-sweep only leaves the canonical center at site 0, where a
+warm start expects it.  A warm search from a close neighbour converges
+in one sweep when the central bond update is exact (short chains), in
+two otherwise.
 """
 
 import warnings
@@ -63,6 +70,9 @@ LANCZOS_DIM = 20
 LANCZOS_TOL = 1e-12
 WARMUP_CHI = 16
 NOISE_SCALE = 1e-6
+# Largest change of the central bond's Schmidt weights s^2 between the two
+# halves of a sweep whose halves count as agreeing (see the module docstring)
+SCHMIDT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -425,8 +435,10 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     """Ground state of the target charge sector as a charge-labeled MPS.
 
     Runs up to ``config.max_sweeps`` full (right + left) sweeps and stops
-    after the first full-size sweep whose left half ends within
-    ``config.energy_tol`` of the energy its right half ended at.  Without
+    after the first full-size sweep whose halves agree in energy (within
+    ``config.energy_tol``) and in the central Schmidt weights (within
+    SCHMIDT_TOL), or whose energy is within ``config.energy_tol`` of the
+    previous full-size sweep's (see the module docstring).  Without
     ``psi0`` the search starts cold from a product state with
     ``config.warmup_sweeps`` noisy warm-up sweeps; with it, the search
     starts from a copy of ``psi0`` (say the converged state of a
@@ -482,6 +494,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
         chi = min(WARMUP_CHI, config.chi_max) if warmup else config.chi_max
         max_restarts = 2 if warmup else 12
         energy = None
+        p_mid = {}
         for direction in ("right", "left"):
             bonds = range(L - 1) if direction == "right" else range(L - 2, -1, -1)
             for i in bonds:
@@ -513,6 +526,8 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 )
                 total_discard += discarded
                 psi.bond_charges[i + 1] = q_new
+                if i == L // 2 - 1:
+                    p_mid[direction] = np.sort(s**2)
                 if direction == "right":
                     psi.site_tensors[i] = U3
                     psi.site_tensors[i + 1] = s[:, None, None] * Vt3
@@ -533,7 +548,18 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                     "truncation is fighting the optimization",
                     ConvergenceWarning,
                 )
-            if abs(energy - energy_right) < config.energy_tol:
+            # the two halves agree in energy and in the central Schmidt
+            # weights, or this sweep's energy agrees with the last one's
+            # (a truncation cycle can keep the halves apart for good)
+            p_r, p_l = p_mid["right"], p_mid["left"]
+            n = max(p_r.size, p_l.size)
+            drift = np.abs(np.pad(p_r, (n - p_r.size, 0)) - np.pad(p_l, (n - p_l.size, 0))).max()
+            halves_agree = abs(energy - energy_right) < config.energy_tol and drift < SCHMIDT_TOL
+            sweeps_agree = (
+                sweep_energy_prev is not None
+                and abs(energy - sweep_energy_prev) < config.energy_tol
+            )
+            if halves_agree or sweeps_agree:
                 converged = True
                 break
             sweep_energy_prev = energy
