@@ -11,7 +11,7 @@ the mean training loss, which zeroes the curve inside the window the
 detector was fit on.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -250,9 +250,8 @@ def train(features, cfg, train_window, val_window, sequence=None):
                         f"discriminator loss diverged at epoch {epoch}, "
                         f"batch {start // cfg.batch_size}"
                     )
-                g_y = (_adv_loss_grad(targets, yhat) / yhat.size)[:, None]
-                _, grads = disc.backward(g_y)
-                adam_step(adam_d, disc.parameters(), disc.grads_as_dict(grads), lr_d)
+                disc.backward((_adv_loss_grad(targets, yhat) / yhat.size)[:, None])
+                adam_step(adam_d, disc, lr_d)
 
             x_in = X_train[g_idx]
             xhat = gen.forward(x_in)
@@ -266,15 +265,14 @@ def train(features, cfg, train_window, val_window, sequence=None):
                 yhat_g = disc.forward(xhat)[:, 0]
                 loss_g += cfg.lambda_adv * float(np.mean(adv_loss(1.0, yhat_g)))
                 g_y = (cfg.lambda_adv * _adv_loss_grad(1.0, yhat_g) / half)[:, None]
-                g_from_d, _ = disc.backward(g_y)
-                g_xhat = g_xhat + g_from_d
+                g_xhat = g_xhat + disc.backward(g_y, weights=False)
             if not np.isfinite(loss_g):
                 raise DivergenceError(
                     f"generator loss diverged at epoch {epoch}, "
                     f"batch {start // cfg.batch_size}"
                 )
-            _, grads = gen.backward(g_xhat)
-            adam_step(adam_g, gen.parameters(), grads, lr_g)
+            gen.backward(g_xhat)
+            adam_step(adam_g, gen, lr_g)
 
         train_mean = _mean_rec(gen, X_train)
         val_mean = _mean_rec(gen, X_val)
@@ -422,15 +420,8 @@ def save_detector(path, det):
     if det.L is not None:
         meta["L"] = det.L
     if det.config is not None:
-        for key in (
-            "lambda_adv", "epsilon_rec", "lr_G", "lr_D",
-            "threshold_train", "threshold_val",
-        ):
-            meta[f"cfg.{key}"] = float(getattr(det.config, key))
-        meta["cfg.epochs_max"] = det.config.epochs_max
-        meta["cfg.batch_size"] = det.config.batch_size
-        meta["cfg.seed"] = det.config.seed
-        meta["cfg.adversarial"] = det.config.adversarial
+        for f in fields(TrainConfig):  # the field's type sets its meta tag
+            meta[f"cfg.{f.name}"] = f.type(getattr(det.config, f.name))
     if det.sequence is not None:
         meta.update(_sequence_to_meta(det.sequence))
     save_checkpoint(path, meta, arrays)
@@ -450,18 +441,7 @@ def load_detector(path):
     model.trained_flag = meta["trained_flag"]
     cfg = None
     if "cfg.seed" in meta:
-        cfg = TrainConfig(
-            lambda_adv=meta["cfg.lambda_adv"],
-            epsilon_rec=meta["cfg.epsilon_rec"],
-            lr_G=meta["cfg.lr_G"],
-            lr_D=meta["cfg.lr_D"],
-            epochs_max=meta["cfg.epochs_max"],
-            batch_size=meta["cfg.batch_size"],
-            threshold_train=meta["cfg.threshold_train"],
-            threshold_val=meta["cfg.threshold_val"],
-            seed=meta["cfg.seed"],
-            adversarial=meta["cfg.adversarial"],
-        )
+        cfg = TrainConfig(**{f.name: meta[f"cfg.{f.name}"] for f in fields(TrainConfig)})
     sequence = _sequence_from_meta(meta) if "seq.n" in meta else None
     return TrainedDetector(
         model=model,

@@ -300,11 +300,6 @@ def build_bh2s(L, params=Bh2sParams()):
     )
 
 
-BUILDERS = {"xxz": build_xxz, "bh": build_bh, "bh2s": build_bh2s}
-
-CONTROL_PARAMETER = {"xxz": "delta", "bh": "u", "bh2s": "u_ab"}
-
-
 def control_value(spec):
     """Dimensionless control parameter of the phase diagram: the anisotropy
     for xxz, U/J for bh, U_ab/U for bh2s."""
@@ -320,7 +315,7 @@ def control_value(spec):
 def build_model(model_id, L, control, n_max=None):
     """Spec for a model at one point of its phase diagram.
 
-    The control parameter plugs into the slot named by CONTROL_PARAMETER;
+    The control parameter sets delta for xxz, U for bh and U_ab for bh2s;
     everything else stays at the builder defaults (J = t = 1, U = 10 for
     the two-species chain).
     """

@@ -3,10 +3,11 @@
 Everything runs in 64-bit numpy on (batch, width) arrays.  The layer set
 is deliberately small (dense + max-pool + nearest-neighbor upsample) but
 each backward pass is exact, so analytic gradients can be checked against
-finite differences to tight tolerances.  ADAM keeps its moments flat,
-one vector each per network, so a step is one vectorized update whatever
-the number of parameter arrays.  Checkpoints are structured text with
-hex-encoded floats and round-trip byte-identically.
+finite differences to tight tolerances.  Each network keeps its weights
+and biases in one flat vector, and their gradients in another of the same
+layout, so an ADAM step is one vectorized update whatever the number of
+parameter arrays.  Checkpoints are structured text with hex-encoded floats
+and round-trip byte-identically.
 """
 
 import math
@@ -62,6 +63,8 @@ class DenseLayer:
     W: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
     activation: str = "identity"
+    dW: np.ndarray = None  # gradients, set once the layer joins a network
+    db: np.ndarray = None
 
     @property
     def in_width(self):
@@ -85,30 +88,21 @@ def make_dense(rng, in_width, out_width, activation):
     )
 
 
-def dense_forward(layer, x):
-    """h(W x + b) on a vector or a (batch, in) array."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.in_width:
-        raise ShapeError(
-            f"input width {x.shape[-1]} != layer width {layer.in_width}"
-        )
-    return act_forward(layer.activation, x @ layer.W.T + layer.b)
-
-
 def _dense_fwd_cached(layer, x):
     z = x @ layer.W.T + layer.b
     a = act_forward(layer.activation, z)
     return a, (x, z, a)
 
 
-def _dense_bwd(layer, g, cache):
-    """Returns (dL/dx, dW, db) for upstream gradient dL/da."""
+def _dense_bwd(layer, g, cache, weights=True):
+    """dL/dx for the upstream gradient dL/da, a (batch, out) array; with
+    ``weights`` the layer's dW and db are written too."""
     x, z, a = cache
     gz = act_backward(layer.activation, z, a, g)
-    dW = gz.T @ x if gz.ndim == 2 else np.outer(gz, x)
-    db = gz.sum(axis=0) if gz.ndim == 2 else gz
-    gx = gz @ layer.W
-    return gx, dW, db
+    if weights:
+        np.matmul(gz.T, x, out=layer.dW)
+        gz.sum(axis=0, out=layer.db)
+    return gz @ layer.W
 
 
 def _selected(idx, window):
@@ -154,11 +148,41 @@ def upsample_backward(g, factor):
 
 # ------------------------------------------------------------------- networks
 
-class MLP:
+class _FlatNetwork:
+    """Dense layers whose weights and biases are views into one flat
+    parameter vector ``theta``, laid end to end in ``parameters()`` order,
+    and whose gradients are views into a flat vector ``grad`` of the same
+    layout, so that ``adam_step`` updates every parameter at once."""
+
+    def _flatten(self, named_layers):
+        self._named = dict(named_layers)
+        self.theta = np.concatenate(
+            [p.ravel() for p in self.parameters().values()], dtype=float
+        )
+        self.grad = np.zeros_like(self.theta)
+        start = 0
+        for layer in self._named.values():
+            for attr in ("W", "b"):
+                shape = getattr(layer, attr).shape
+                window = slice(start, start + math.prod(shape))
+                setattr(layer, attr, self.theta[window].reshape(shape))
+                setattr(layer, "d" + attr, self.grad[window].reshape(shape))
+                start = window.stop
+
+    def parameters(self):
+        return {
+            f"{name}.{attr}": getattr(layer, attr)
+            for name, layer in self._named.items()
+            for attr in ("W", "b")
+        }
+
+
+class MLP(_FlatNetwork):
     """Plain chain of dense layers with cached forward for backprop."""
 
     def __init__(self, layers):
         self.layers = list(layers)
+        self._flatten((str(i), layer) for i, layer in enumerate(self.layers))
         self._cache = None
 
     @classmethod
@@ -184,32 +208,18 @@ class MLP:
         self._cache = caches if cache else None
         return a
 
-    def backward(self, g):
-        """Gradients from upstream dL/d(output); returns (dL/dx, grads)."""
+    def backward(self, g, weights=True):
+        """dL/dx from the upstream dL/d(output), a (batch, out) array.  The
+        weight gradients go into ``grad``; with ``weights`` false (a
+        frozen network) they are not formed."""
         if self._cache is None:
             raise StateError("no cached forward pass")
-        grads = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            g, dW, db = _dense_bwd(self.layers[i], g, self._cache[i])
-            grads[i] = (dW, db)
-        return g, grads
-
-    def parameters(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"{i}.W"] = layer.W
-            out[f"{i}.b"] = layer.b
-        return out
-
-    def grads_as_dict(self, grads):
-        out = {}
-        for i, (dW, db) in enumerate(grads):
-            out[f"{i}.W"] = dW
-            out[f"{i}.b"] = db
-        return out
+        for layer, cache in zip(self.layers[::-1], self._cache[::-1]):
+            g = _dense_bwd(layer, g, cache, weights)
+        return g
 
 
-class Autoencoder:
+class Autoencoder(_FlatNetwork):
     """Encoder-decoder pair with two pool/upsample stages and one skip.
 
     Encoder: dense(n->n) relu, pool 2, dense(n/2->n/2) relu, pool 2,
@@ -221,6 +231,10 @@ class Autoencoder:
     def __init__(self, enc1, enc2, enc3, dec1, dec2, dec3, skip=True):
         self.enc1, self.enc2, self.enc3 = enc1, enc2, enc3
         self.dec1, self.dec2, self.dec3 = dec1, dec2, dec3
+        self._flatten(
+            (name, getattr(self, name))
+            for name in ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
+        )
         self.skip = skip
         self._cache = None
 
@@ -253,13 +267,6 @@ class Autoencoder:
     def n_feat(self):
         return self.enc1.in_width
 
-    def encode(self, x):
-        a1 = dense_forward(self.enc1, x)
-        p1, _ = maxpool_forward(a1, 2)
-        a2 = dense_forward(self.enc2, p1)
-        p2, _ = maxpool_forward(a2, 2)
-        return dense_forward(self.enc3, p2)
-
     def forward(self, x, cache=True):
         x = np.asarray(x, dtype=float)
         a1, c1 = _dense_fwd_cached(self.enc1, x)
@@ -281,53 +288,29 @@ class Autoencoder:
         return xhat
 
     def backward(self, g):
-        """Gradients of a scalar loss from dL/dxhat; returns (dL/dx, dict)."""
+        """dL/dx of a scalar loss from dL/dxhat, a (batch, n_feat) array;
+        the weight gradients go into ``grad``."""
         if self._cache is None:
             raise StateError("no cached forward pass")
         c1, i1, c2, i2, c3, c4, c5, c6 = self._cache
-        g, dW6, db6 = _dense_bwd(self.dec3, g, c6)
-        g = upsample_backward(g, 2)
+        g = upsample_backward(_dense_bwd(self.dec3, g, c6), 2)
         u1, z2, a5 = c5
         gz = act_backward(self.dec2.activation, z2, a5, g)
-        dW5 = gz.T @ u1 if gz.ndim == 2 else np.outer(gz, u1)
-        db5 = gz.sum(axis=0) if gz.ndim == 2 else gz
-        g_skip = gz if self.skip else None  # lands on p1 below
-        g = gz @ self.dec2.W
-        g = upsample_backward(g, 2)
-        g, dW4, db4 = _dense_bwd(self.dec1, g, c4)
-
-        g, dW3, db3 = _dense_bwd(self.enc3, g, c3)
-        g = maxpool_backward(g, i2, 2)
-        g, dW2, db2 = _dense_bwd(self.enc2, g, c2)
-        if g_skip is not None:
-            g = g + g_skip
-        g = maxpool_backward(g, i1, 2)
-        g, dW1, db1 = _dense_bwd(self.enc1, g, c1)
-        grads = {
-            "enc1.W": dW1, "enc1.b": db1,
-            "enc2.W": dW2, "enc2.b": db2,
-            "enc3.W": dW3, "enc3.b": db3,
-            "dec1.W": dW4, "dec1.b": db4,
-            "dec2.W": dW5, "dec2.b": db5,
-            "dec3.W": dW6, "dec3.b": db6,
-        }
-        return g, grads
-
-    def parameters(self):
-        out = {}
-        for name in ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3"):
-            layer = getattr(self, name)
-            out[f"{name}.W"] = layer.W
-            out[f"{name}.b"] = layer.b
-        return out
+        np.matmul(gz.T, u1, out=self.dec2.dW)
+        gz.sum(axis=0, out=self.dec2.db)
+        g = upsample_backward(gz @ self.dec2.W, 2)
+        g = _dense_bwd(self.enc3, _dense_bwd(self.dec1, g, c4), c3)
+        g = _dense_bwd(self.enc2, maxpool_backward(g, i2, 2), c2)
+        if self.skip:
+            g = g + gz  # the skip lands on p1
+        return _dense_bwd(self.enc1, maxpool_backward(g, i1, 2), c1)
 
 
 # ---------------------------------------------------------------------- adam
 
 @dataclass
 class OptimizerState:
-    """ADAM moments of one network, flat: the entries of its parameters
-    laid end to end in the order ``adam_step`` is given them."""
+    """ADAM moments of one network, flat, in the layout of its ``theta``."""
 
     m: np.ndarray = None
     v: np.ndarray = None
@@ -337,19 +320,21 @@ class OptimizerState:
     eps_adam: float = 1e-8
 
 
-def adam_step(state, params, grads, lr):
-    """One bias-corrected ADAM update, in place on the parameter arrays.
+def adam_step(state, net, lr):
+    """One bias-corrected ADAM update of ``net.theta`` from ``net.grad``.
 
-    The gradients are laid end to end in the order of ``params``, so the
-    moments and the step are each one vectorized update, and each
-    parameter then takes its slice of the step.  Every entry sees the
-    same operations in the same order as a per-array update would, so
-    the results are bit-identical to it.  A non-finite gradient raises
-    DivergenceError naming its parameter before anything changes.
+    Both are flat, so the moments and the step are each one vectorized
+    update in place.  Every entry sees the same operations in the same
+    order as a per-array update would, so the results are bit-identical
+    to it.  A non-finite gradient raises DivergenceError naming its
+    parameter before anything changes.
     """
-    g = np.concatenate([grads[name].ravel() for name in params])
+    g = net.grad
     if not np.isfinite(g).all():
-        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        params = net.parameters()
+        ends = np.cumsum([p.size for p in params.values()])
+        first = np.flatnonzero(~np.isfinite(g))[0]
+        bad = list(params)[np.searchsorted(ends, first, side="right")]
         raise DivergenceError(f"non-finite gradient in {bad}")
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
@@ -362,12 +347,7 @@ def adam_step(state, params, grads, lr):
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
-    step = lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps_adam)
-    start = 0
-    for p in params.values():
-        p -= step[start:start + p.size].reshape(p.shape)
-        start += p.size
-    return params
+    net.theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps_adam)
 
 
 @dataclass(frozen=True)

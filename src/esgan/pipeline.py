@@ -32,7 +32,7 @@ from .spectra import (
     align_to_reference,
     build_reference_sequence,
     conformal_rescale,
-    kl_divergence,
+    kl_from_aligned,
     make_labeled_spectrum,
 )
 
@@ -617,13 +617,12 @@ def _write_output(ds, dataset_path, suffix, out_path, rows, **metadata):
     return curve, out_path
 
 
-def _kl_by_control(ds, sequence):
-    """KL divergence of every record from the origin record, by control."""
-    origin = ds.origin_record()
-    return {
-        r.control_value: kl_divergence(r, origin, sequence=sequence)
-        for r in ds.records
-    }
+def _kl_from_origin(ds, features):
+    """KL divergence of every record's feature vector from the origin
+    record's, by control value; ``features`` come from dataset_features."""
+    origin = ds.origin_record().control_value
+    q = next(f.values for f in features if f.control_value == origin)
+    return {f.control_value: kl_from_aligned(f.values, q) for f in features}
 
 
 def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
@@ -649,13 +648,10 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
             f"{det.model_id!r} L={det.L}, dataset is {ds.header_line()}"
         )
     same_size = det.L is None or det.L == ds.L
-    if same_size and det.sequence is not None:
-        features, sequence = dataset_features(ds, n_feat, sequence=det.sequence)
-    else:
-        features, sequence = dataset_features(ds, n_feat)
+    features, _ = dataset_features(ds, n_feat, det.sequence if same_size else None)
     rows = gan.scan(det, features)
     if with_kl:
-        kl = _kl_by_control(ds, sequence)
+        kl = _kl_from_origin(ds, features)
         for row in rows:
             row["kl_value"] = kl[row["control_value"]]
     return _write_output(
@@ -731,15 +727,14 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
 def kl_cmd(dataset_path, out_path=None, n_feat=N_FEAT):
     """KL divergence of every record from the origin record, as a CSV."""
     ds = _load(dataset_path)
-    origin = ds.origin_record()
-    sequence = build_reference_sequence(origin, n_feat)
+    features, sequence = dataset_features(ds, n_feat)
     rows = [
         {"control_value": control, "kl_value": kl}
-        for control, kl in sorted(_kl_by_control(ds, sequence).items())
+        for control, kl in sorted(_kl_from_origin(ds, features).items())
     ]
     return _write_output(
         ds, dataset_path, "_kl.csv", out_path, rows,
-        reference_control=repr(float(origin.control_value)),
+        reference_control=repr(float(sequence.origin_control_value)),
     )
 
 

@@ -35,12 +35,3 @@ def max_rel_error(analytic, numeric, floor=1e-6):
     scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / scale))
 
-
-def check_param_grads(loss_fn, params, analytic, step=1e-5, floor=1e-6):
-    """Compare analytic grads against FD for every named parameter array;
-    returns the worst relative error over all of them."""
-    worst = 0.0
-    for name, p in params.items():
-        numeric = fd_gradient(loss_fn, p, step=step)
-        worst = max(worst, max_rel_error(analytic[name], numeric, floor=floor))
-    return worst

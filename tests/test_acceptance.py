@@ -34,7 +34,7 @@ from esgan.solver import (
 )
 from esgan.spectra import fit_central_charge
 
-from fdcheck import check_param_grads
+from fdcheck import fd_gradient, max_rel_error
 from oracles import xx_ground_energy
 
 TRAIN_WIN = (-0.65, 0.0)
@@ -163,8 +163,7 @@ def test_05_gradients_match_finite_differences():
         g_xhat = eps * resid / (safe[:, None] * batch)
         yhat = disc.forward(xhat)[:, 0]
         g_y = (lam * _adv_loss_grad(1.0, yhat) / batch)[:, None]
-        g_from_d, _ = disc.backward(g_y)
-        _, g_gen = gen.backward(g_xhat + g_from_d)
+        gen.backward(g_xhat + disc.backward(g_y, weights=False))
 
         def gen_loss():
             out = gen.forward(x, cache=False)
@@ -174,22 +173,20 @@ def test_05_gradients_match_finite_differences():
                 np.mean(adv_loss(1.0, y))
             )
 
-        worst = max(worst, check_param_grads(gen_loss, gen.parameters(), g_gen))
+        # every parameter is a view into theta, so bumping theta bumps them
+        worst = max(worst, max_rel_error(gen.grad, fd_gradient(gen_loss, gen.theta)))
 
         # discriminator side: the adversarial term at fixed reconstruction
         xhat_const = xhat.copy()
         yhat = disc.forward(xhat_const)[:, 0]
         g_y = (lam * _adv_loss_grad(1.0, yhat) / batch)[:, None]
-        _, raw = disc.backward(g_y)
-        g_disc = disc.grads_as_dict(raw)
+        disc.backward(g_y)
 
         def disc_loss():
             y = disc.forward(xhat_const, cache=False)[:, 0]
             return lam * float(np.mean(adv_loss(1.0, y)))
 
-        worst = max(
-            worst, check_param_grads(disc_loss, disc.parameters(), g_disc)
-        )
+        worst = max(worst, max_rel_error(disc.grad, fd_gradient(disc_loss, disc.theta)))
     elapsed = time.monotonic() - t0
     assert worst <= 1e-4, f"worst relative gradient error {worst:.2e}"
     assert elapsed < 60.0, f"took {elapsed:.1f} s"

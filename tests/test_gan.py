@@ -167,9 +167,8 @@ def test_generator_step_decreases_batch_loss():
         from esgan.gan import _adv_loss_grad
 
         g_y = (lam * _adv_loss_grad(1.0, yhat) / x.shape[0])[:, None]
-        g_from_d, _ = disc.backward(g_y)
-        _, grads = gen.backward(g_xhat + g_from_d)
-        adam_step(OptimizerState(), gen.parameters(), grads, lr=1e-3)
+        gen.backward(g_xhat + disc.backward(g_y, weights=False))
+        adam_step(OptimizerState(), gen, lr=1e-3)
         if total_loss() < before:
             wins += 1
     assert wins >= 95
@@ -315,3 +314,20 @@ def test_detector_checkpoint_round_trip(tmp_path):
     save_detector(path2, det2)
     with open(path, "rb") as f1, open(path2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_loaded_weights_are_views_that_adam_moves(tmp_path):
+    det = train(synthetic_features(n=24, width=8), quick_config(epochs_max=2),
+                (-0.5, 0.0), (-1.0, -0.5))
+    path = str(tmp_path / "det.ckpt")
+    save_detector(path, det)
+    model = load_detector(path).model
+    for net, trained in ((model.generator, det.model.generator),
+                         (model.discriminator, det.model.discriminator)):
+        params = net.parameters()
+        assert all(np.shares_memory(p, net.theta) for p in params.values())
+        assert net.theta.tobytes() == trained.theta.tobytes()
+        net.grad[:] = 1.0
+        adam_step(OptimizerState(), net, lr=1e-3)
+        for name, p in params.items():
+            assert np.all(p < trained.parameters()[name]), name

@@ -17,7 +17,6 @@ from esgan.neuralnet import (
     StateError,
     adam_step,
     cosine_lr,
-    dense_forward,
     load_checkpoint,
     make_dense,
     maxpool_backward,
@@ -26,7 +25,7 @@ from esgan.neuralnet import (
     upsample_backward,
     upsample_forward,
 )
-from fdcheck import check_param_grads, fd_gradient, max_rel_error
+from fdcheck import fd_gradient, max_rel_error
 
 
 def identity_layer(n, activation="identity"):
@@ -40,24 +39,24 @@ def identity_layer(n, activation="identity"):
 
 def test_dense_identity_passthrough():
     x = np.array([0.3, -1.2, 2.0])
-    out = dense_forward(identity_layer(3), x)
+    out = MLP([identity_layer(3)]).forward(x)
     assert np.array_equal(out, x)
 
 
 def test_dense_relu_clips_negative():
-    out = dense_forward(identity_layer(2, "relu"), np.array([-1.0, 2.0]))
+    out = MLP([identity_layer(2, "relu")]).forward(np.array([-1.0, 2.0]))
     assert np.array_equal(out, [0.0, 2.0])
 
 
 def test_dense_tanh_saturates():
-    out = dense_forward(identity_layer(2, "tanh"), np.array([25.0, -25.0]))
+    out = MLP([identity_layer(2, "tanh")]).forward(np.array([25.0, -25.0]))
     assert abs(out[0] - 1.0) < 1e-6 and abs(out[1] + 1.0) < 1e-6
 
 
 def test_dense_shape_mismatch():
-    layer = make_dense(np.random.default_rng(0), 4, 2, "relu")
+    net = MLP([make_dense(np.random.default_rng(0), 4, 2, "relu")])
     with pytest.raises(ShapeError):
-        dense_forward(layer, np.zeros(3))
+        net.forward(np.zeros(3))
 
 
 # ------------------------------------------------------------------ pool
@@ -140,13 +139,13 @@ def test_upsample_backward_sums_copies():
 
 def test_identity_layer_bias_gradient_is_residual():
     net = MLP([identity_layer(3)])
-    x = np.array([0.2, 0.7, -0.4])
-    target = np.array([0.0, 1.0, 0.0])
+    x = np.array([[0.2, 0.7, -0.4]])
+    target = np.array([[0.0, 1.0, 0.0]])
     xhat = net.forward(x)
-    _, grads = net.backward(xhat - target)  # dL/dxhat of 0.5*||xhat-t||^2
-    dW, db = grads[0]
-    assert np.allclose(db, xhat - target)
-    assert np.allclose(dW, np.outer(xhat - target, x))
+    net.backward(xhat - target)  # dL/dxhat of 0.5*||xhat-t||^2
+    layer = net.layers[0]
+    assert np.allclose(layer.db, (xhat - target)[0])
+    assert np.allclose(layer.dW, np.outer(xhat - target, x))
 
 
 def test_zero_weight_relu_net_has_dead_deep_gradients():
@@ -155,16 +154,16 @@ def test_zero_weight_relu_net_has_dead_deep_gradients():
     for layer in net.layers:
         layer.W[...] = 0.0
         layer.b[...] = 0.0
-    out = net.forward(np.array([1.0, -2.0, 0.5, 3.0]))
-    _, grads = net.backward(np.ones_like(out))
-    for dW, _ in grads[1:]:
-        assert np.all(dW == 0.0)
+    out = net.forward(np.array([[1.0, -2.0, 0.5, 3.0]]))
+    net.backward(np.ones_like(out))
+    for layer in net.layers[1:]:
+        assert np.all(layer.dW == 0.0)
 
 
 def test_backward_without_forward_raises():
     net = MLP.build(np.random.default_rng(0), [3, 2], ["relu"])
     with pytest.raises(StateError):
-        net.backward(np.ones(2))
+        net.backward(np.ones((1, 2)))
 
 
 @pytest.mark.parametrize("acts", [
@@ -175,23 +174,23 @@ def test_backward_without_forward_raises():
 def test_small_mlp_matches_finite_differences(acts):
     rng = np.random.default_rng(hash(tuple(acts)) % 2**32)
     net = MLP.build(rng, [8, 4, 2], acts)
-    x = rng.normal(size=8)
-    target = rng.uniform(size=2)
+    x = rng.normal(size=(1, 8))
+    target = rng.uniform(size=(1, 2))
 
     def loss():
         out = net.forward(x, cache=False)
         return 0.5 * float(np.sum((out - target) ** 2))
 
     out = net.forward(x)
-    _, grads = net.backward(out - target)
-    worst = check_param_grads(loss, net.parameters(), net.grads_as_dict(grads))
-    assert worst < 1e-4
+    net.backward(out - target)
+    # every parameter is a view into theta, so bumping theta bumps them
+    assert max_rel_error(net.grad, fd_gradient(loss, net.theta)) < 1e-4
 
 
 def test_autoencoder_skip_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     ae = Autoencoder.build(rng, n_feat=8, skip=True)
-    x = rng.uniform(size=8)
+    x = rng.uniform(size=(1, 8))
 
     def loss():
         xhat = ae.forward(x, cache=False)
@@ -199,63 +198,71 @@ def test_autoencoder_skip_gradients_match_finite_differences():
 
     xhat = ae.forward(x)
     resid = xhat - x
-    _, grads = ae.backward(resid / np.linalg.norm(resid))
-    worst = check_param_grads(loss, ae.parameters(), grads)
-    assert worst < 1e-4
+    ae.backward(resid / np.linalg.norm(resid))
+    assert max_rel_error(ae.grad, fd_gradient(loss, ae.theta)) < 1e-4
 
 
 def test_autoencoder_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     ae = Autoencoder.build(rng, n_feat=8, skip=True)
-    x = rng.uniform(size=8)
-    target = rng.uniform(size=8)
+    x = rng.uniform(size=(1, 8))
+    target = rng.uniform(size=(1, 8))
 
     def loss():
         return 0.5 * float(np.sum((ae.forward(x, cache=False) - target) ** 2))
 
     xhat = ae.forward(x)
-    gx, _ = ae.backward(xhat - target)
+    gx = ae.backward(xhat - target)
     numeric = fd_gradient(loss, x)
     assert max_rel_error(gx, numeric) < 1e-4
 
 
 # ------------------------------------------------------------------ adam
 
+def _net_of(theta):
+    """A one-layer network whose flat parameter vector holds ``theta``."""
+    net = MLP([make_dense(np.random.default_rng(0), len(theta) - 1, 1, "identity")])
+    net.theta[:] = theta
+    return net
+
+
 def test_adam_first_step_is_signed_lr():
     state = OptimizerState()
-    p = np.array([1.0, -1.0, 2.0])
+    net = _net_of([1.0, -1.0, 2.0])
     g = np.array([0.3, -0.7, 0.1])
-    before = p.copy()
-    adam_step(state, {"p": p}, {"p": g}, lr=0.01)
+    net.grad[:] = g
+    before = net.theta.copy()
+    adam_step(state, net, lr=0.01)
     # bias-corrected first step: m_hat = g, v_hat = g^2, update = lr*sign(g)
-    assert np.allclose(before - p, 0.01 * np.sign(g), atol=1e-6)
+    assert np.allclose(before - net.theta, 0.01 * np.sign(g), atol=1e-6)
 
 
 def test_adam_zero_gradient_keeps_parameters():
     state = OptimizerState()
-    p = np.array([0.5, -0.5])
-    adam_step(state, {"p": p}, {"p": np.zeros(2)}, lr=0.1)
-    assert np.array_equal(p, [0.5, -0.5])
+    net = _net_of([0.5, -0.5])
+    adam_step(state, net, lr=0.1)
+    assert np.array_equal(net.theta, [0.5, -0.5])
     assert state.t == 1
 
 
 def test_adam_second_identical_step_no_larger():
-    g = np.array([0.4])
     state = OptimizerState()
-    p = np.array([1.0])
-    adam_step(state, {"p": p}, {"p": g}, lr=0.01)
-    first = 1.0 - p[0]
-    before = p[0]
-    adam_step(state, {"p": p}, {"p": g}, lr=0.01)
-    second = before - p[0]
+    net = _net_of([1.0, 1.0])
+    net.grad[:] = 0.4
+    adam_step(state, net, lr=0.01)
+    first = 1.0 - net.theta[0]
+    before = net.theta[0]
+    adam_step(state, net, lr=0.01)
+    second = before - net.theta[0]
     assert second <= first + 1e-9
 
 
 def test_adam_rejects_nonfinite_gradient():
     state = OptimizerState()
-    p = np.array([1.0])
+    net = _net_of([1.0, 1.0])
+    net.grad[0] = np.nan
     with pytest.raises(DivergenceError):
-        adam_step(state, {"p": p}, {"p": np.array([np.nan])}, lr=0.01)
+        adam_step(state, net, lr=0.01)
 
 
 def _adam_per_array(state, params, grads, lr):
@@ -276,22 +283,35 @@ def _adam_per_array(state, params, grads, lr):
         p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
 
-def _mixed_shape_params(rng):
-    return {"a.W": rng.standard_normal((5, 3)), "a.b": rng.standard_normal(5),
-            "b.W": rng.standard_normal((2, 5)), "b.b": np.zeros(2)}
+def _mixed_shape_net(rng):
+    # parameters 0.W (5, 3), 0.b (5,), 1.W (2, 5), 1.b (2,)
+    net = MLP.build(rng, [3, 5, 2], ["relu", "identity"])
+    net.theta[:] = rng.standard_normal(net.theta.size)
+    return net
+
+
+def _by_name(params, flat):
+    """Views of ``flat`` shaped like ``params``, in their order."""
+    ends = np.cumsum([p.size for p in params.values()])[:-1]
+    return {
+        name: part.reshape(p.shape)
+        for (name, p), part in zip(params.items(), np.split(flat, ends))
+    }
 
 
 def test_adam_flat_update_matches_per_array_formula_bitwise():
     rng = np.random.default_rng(11)
-    params = _mixed_shape_params(rng)
+    net = _mixed_shape_net(rng)
+    params = net.parameters()
     ref = {name: p.copy() for name, p in params.items()}
     state, ref_state = OptimizerState(), {"t": 0, "m": {}, "v": {}}
     for step in range(25):
         scale = 10.0 ** rng.integers(-8, 3)
-        grads = {name: scale * rng.standard_normal(p.shape) for name, p in params.items()}
-        grads["b.b"][0] = 0.0
+        net.grad[:] = scale * rng.standard_normal(net.grad.size)
+        grads = _by_name(params, net.grad)
+        grads["1.b"][0] = 0.0
         lr = 0.01 * (1.0 + np.cos(step / 7.0))
-        adam_step(state, params, grads, lr)
+        adam_step(state, net, lr)
         _adam_per_array(ref_state, ref, grads, lr)
         for name in params:
             assert params[name].tobytes() == ref[name].tobytes(), (step, name)
@@ -303,18 +323,20 @@ def test_adam_flat_update_matches_per_array_formula_bitwise():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adam_nonfinite_gradient_changes_nothing(bad):
     rng = np.random.default_rng(3)
-    params = _mixed_shape_params(rng)
+    net = _mixed_shape_net(rng)
     state = OptimizerState()
-    grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
-    adam_step(state, params, grads, 0.01)
-    before = {name: p.copy() for name, p in params.items()}
+    net.grad[:] = rng.standard_normal(net.grad.size)
+    adam_step(state, net, 0.01)
+    before = net.theta.copy()
     m, v = state.m.copy(), state.v.copy()
-    grads["b.W"][1, 2] = bad
-    with pytest.raises(DivergenceError, match="non-finite gradient in b.W"):
-        adam_step(state, params, grads, 0.01)
+    grads = _by_name(net.parameters(), net.grad)
+    # two bad entries, the first at the start of 1.W: 1.W is named
+    grads["1.W"][0, 0] = grads["1.b"][0] = bad
+    with pytest.raises(DivergenceError, match="non-finite gradient in 1.W"):
+        adam_step(state, net, 0.01)
     assert state.t == 1
     assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
-    assert all(params[name].tobytes() == before[name].tobytes() for name in params)
+    assert net.theta.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------- cosine
@@ -342,8 +364,10 @@ def test_encoder_width_algebra(n_feat):
     assert ae.enc3.in_width == n_feat // 4
     assert ae.enc3.out_width == max(1, n_feat // 8)
     assert ae.dec3.out_width == n_feat
-    z = ae.encode(np.random.default_rng(1).uniform(size=n_feat))
-    assert z.shape == (max(1, n_feat // 8),)
+    xhat = ae.forward(np.random.default_rng(1).uniform(size=(2, n_feat)))
+    assert xhat.shape == (2, n_feat)
+    latent = ae._cache[4][2]  # enc3's activation
+    assert latent.shape == (2, max(1, n_feat // 8))
 
 
 def test_forward_determinism():
