@@ -52,6 +52,13 @@ a left half-sweep only leaves the canonical center at site 0, where a
 warm start expects it.  A warm search from a close neighbour converges
 in one sweep when the central bond update is exact (short chains), in
 two otherwise.
+
+The final energy needs no extra pass over the chain.  A search ends after
+a left half-sweep, whose last update leaves sites 1..L-1 right-isometric
+and their right environment built, so <H> is site 0 contracted against
+that environment, divided by the squared norm of site 0 (standard DMRG
+practice, Schollwoeck 2011); it agrees with the full-chain
+expectation_value to rounding.
 """
 
 import warnings
@@ -146,18 +153,29 @@ def build_mpo(spec):
     return mpo
 
 
+# The environment updates are three matrix products each.  They call np.dot
+# on the very transposes and reshapes np.tensordot would build, without its
+# argument handling, so they give its bits at a fraction of its cost on the
+# small tensors of short chains.
+
 def _contract_left(E, A, W):
     """Grow a left environment (bra_r, v, ket_r) past one site."""
-    X = np.tensordot(E, A, axes=([0], [0]))  # (w, ket_l, s_out, bra_r)
-    X = np.tensordot(X, W, axes=([0, 2], [0, 1]))  # (ket_l, bra_r, s_in, v)
-    return np.tensordot(X, A, axes=([0, 2], [0, 1]))  # (bra_r, v, ket_r)
+    l, d, r = A.shape
+    X = np.dot(E.transpose(1, 2, 0).reshape(-1, l), A.reshape(l, d * r))  # (w ket_l, s_out bra_r)
+    X = X.reshape(-1, l, d, r).transpose(1, 3, 0, 2).reshape(l * r, -1)  # (ket_l bra_r, w s_out)
+    X = np.dot(X, W.reshape(-1, d * W.shape[3]))  # (ket_l bra_r, s_in v)
+    X = X.reshape(l, r, d, -1).transpose(1, 3, 0, 2).reshape(-1, l * d)  # (bra_r v, ket_l s_in)
+    return np.dot(X, A.reshape(l * d, r)).reshape(r, -1, r)
 
 
 def _contract_right(E, A, W):
     """Grow a right environment (bra_l, w, ket_l) past one site."""
-    X = np.tensordot(A, E, axes=([2], [0]))  # (bra_l, s_out, v, ket_r)
-    X = np.tensordot(X, W, axes=([1, 2], [1, 3]))  # (bra_l, ket_r, w, s_in)
-    return np.tensordot(X, A, axes=([3, 1], [1, 2]))  # (bra_l, w, ket_l)
+    l, d, r = A.shape
+    X = np.dot(A.reshape(l * d, r), E.reshape(r, -1))  # (bra_l s_out, v ket_r)
+    X = X.reshape(l, d, -1, r).transpose(0, 3, 1, 2).reshape(l * r, -1)  # (bra_l ket_r, s_out v)
+    X = np.dot(X, W.transpose(1, 3, 0, 2).reshape(-1, W.shape[0] * d))  # (bra_l ket_r, w s_in)
+    X = X.reshape(l, r, -1, d).transpose(0, 2, 3, 1).reshape(-1, d * r)  # (bra_l w, s_in ket_r)
+    return np.dot(X, A.transpose(1, 2, 0).reshape(d * r, l)).reshape(l, -1, l)
 
 
 def expectation_value(mps, mpo):
@@ -194,6 +212,15 @@ def mpo_charges(mpo, qsite):
     return charges
 
 
+def _live_states(W1, W2, c):
+    """The states of the bond between W1 and W2 that both reach, by
+    ascending charge key (then state), and those keys."""
+    live = np.flatnonzero(np.any(W1, axis=(0, 1, 2)) & np.any(W2, axis=(1, 2, 3)))
+    keys = charge_keys(c[live])
+    order = np.argsort(keys, kind="stable")
+    return live[order], keys[order]
+
+
 def bond_channels(W1, W2, c):
     """MPO states of the bond between W1 and W2, sorted by charge.
 
@@ -201,11 +228,33 @@ def bond_channels(W1, W2, c):
     both reach, ordered by ascending charge key (then state), and those
     keys.
     """
-    live = np.flatnonzero(np.any(W1, axis=(0, 1, 2)) & np.any(W2, axis=(1, 2, 3)))
-    keys = charge_keys(c[live])
-    order = np.argsort(keys, kind="stable")
-    live = live[order]
-    return W1[..., live], W2[live], keys[order]
+    live, keys = _live_states(W1, W2, c)
+    return W1[..., live], W2[live], keys
+
+
+# (live states, keys) of every bond, by MPO nonzero pattern and site charges
+_CHANNEL_PLANS = {}
+
+
+def sweep_channels(mpo, qsite):
+    """bond_channels of every bond of ``mpo``.
+
+    Which states live on a bond, and their charges, follow from the MPO's
+    nonzero pattern (mpo_charges), so they are worked out once per pattern
+    and site charges; a chain of control values shares one.  The pattern
+    is the key, not the model: XXZ at delta = 0 drops its zz channel.
+    """
+    key = (qsite.tobytes(), qsite.shape) + tuple((W.shape, (W != 0).tobytes()) for W in mpo)
+    plan = _CHANNEL_PLANS.get(key)
+    if plan is None:
+        c = mpo_charges(mpo, qsite)
+        plan = [_live_states(mpo[i], mpo[i + 1], c[i + 1]) for i in range(len(mpo) - 1)]
+        for _, keys in plan:
+            keys.setflags(write=False)  # shared by every TwoSiteHeff of the pattern
+        if len(_CHANNEL_PLANS) >= 32:
+            _CHANNEL_PLANS.clear()
+        _CHANNEL_PLANS[key] = plan
+    return [(mpo[i][..., live], mpo[i + 1][live], keys) for i, (live, keys) in enumerate(plan)]
 
 
 class TwoSiteBlocks(ChargeBlocks):
@@ -333,16 +382,16 @@ class TwoSiteHeff:
         """Gather the pieces of LW and RW for environments EL and ER."""
         l, r = EL.shape[0], ER.shape[0]
         X = EL.transpose(0, 2, 1).reshape(l * l, -1) @ self.W1.reshape(self.W1.shape[0], -1)
-        np.take(X, self._L_index, out=self._L)
+        X.take(self._L_index, out=self._L)
         Y = self.W2.reshape(-1, self.W2.shape[3]) @ ER.transpose(1, 0, 2).reshape(-1, r * r)
-        np.take(Y, self._R_index, out=self._R)
+        Y.take(self._R_index, out=self._R)
         return self
 
     def matvec(self, x):
         np.copyto(self._x, x)
         for xk, R, zk in self._right:
             np.matmul(xk, R, out=zk)
-        np.take(self._z, self._s_index, out=self._s, mode="clip")
+        self._z.take(self._s_index, out=self._s, mode="clip")
         for L, st, yt in self._left:
             np.matmul(L, st, out=yt)
         return self._y.copy()
@@ -447,9 +496,11 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     ``warmup_sweeps``, see DmrgConfig).  ``psi0``'s tensors are left
     untouched, but its H_eff layouts pass to the new state, which reuses
     those that still fit; one of another length, local basis or sector
-    raises ValueError.  The returned state carries the exact variational
-    energy <H>, the accumulated truncated weight, per-sweep energies, a
-    ``converged`` flag and ``stats`` (matvecs, sweeps, layouts built);
+    raises ValueError.  The returned state carries the variational energy
+    <H> of the final state, read off the last half-sweep's environments
+    (see the module docstring), the accumulated truncated weight,
+    per-sweep energies, a ``converged`` flag and ``stats`` (matvecs,
+    sweeps, layouts built);
     non-convergence also raises a ConvergenceWarning but still returns
     the state.
     """
@@ -465,8 +516,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     qsite = spec.site_charge_array()
     L = spec.L
-    c_mpo = mpo_charges(mpo, qsite)
-    channels = [bond_channels(mpo[i], mpo[i + 1], c_mpo[i + 1]) for i in range(L - 1)]
+    channels = sweep_channels(mpo, qsite)
     if psi.layouts is None:
         psi.layouts = [None] * (L - 1)
     # per bond: the last TwoSiteHeff built there, here or by the solve
@@ -498,7 +548,8 @@ def dmrg_ground_state(spec, config=None, psi0=None):
         for direction in ("right", "left"):
             bonds = range(L - 1) if direction == "right" else range(L - 2, -1, -1)
             for i in bonds:
-                theta = np.tensordot(psi.site_tensors[i], psi.site_tensors[i + 1], axes=([2], [0]))
+                A, B = psi.site_tensors[i], psi.site_tensors[i + 1]
+                theta = np.dot(A.reshape(-1, A.shape[2]), B.reshape(B.shape[0], -1))
                 qL, qR = psi.bond_charges[i], psi.bond_charges[i + 2]
                 heff = layouts[i]
                 if heff is None or not heff.blocks.matches(qL, qR):
@@ -509,7 +560,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 if warmup:
                     theta = theta + NOISE_SCALE * rng.standard_normal(theta.shape)
                 x = blocks.gather(theta)
-                nrm = np.linalg.norm(x)
+                nrm = np.sqrt(x.dot(x))
                 if nrm == 0.0:
                     raise RuntimeError("two-site block vanished during sweep")
                 x /= nrm
@@ -566,7 +617,10 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     psi.converged = converged
     psi.truncation_error = total_discard
     psi.seed = config.seed
-    psi.energy = expectation_value(psi, mpo)
+    # <H> from the last half-sweep's environments: sites 1..L-1 are right
+    # isometries, so site 0 against ER[1] gives <psi|H|psi>
+    A = psi.site_tensors[0]
+    psi.energy = float(_contract_right(ER[1], A, mpo[0])[0, 0, 0]) / A.ravel().dot(A.ravel())
     psi.stats = {
         "matvecs": n_matvec,
         "sweeps": len(psi.sweep_energies),

@@ -46,7 +46,7 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
     """
     v = np.asarray(v0, dtype=np.float64).ravel().copy()
     n = v.size
-    nrm = np.linalg.norm(v)
+    nrm = np.sqrt(v.dot(v))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ValueError("starting vector must be finite and nonzero")
     v /= nrm
@@ -80,12 +80,12 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
             w = w - alpha * V[j]
             if j > 0:
                 w = w - T[j, j - 1] * V[j - 1]
-            before = np.linalg.norm(w)
+            before = np.sqrt(w.dot(w))
             w -= V[: j + 1].T @ (V[: j + 1] @ w)
-            beta = np.linalg.norm(w)
+            beta = np.sqrt(w.dot(w))
             if beta < DGKS_ETA * before:
                 w -= V[: j + 1].T @ (V[: j + 1] @ w)
-                beta = np.linalg.norm(w)
+                beta = np.sqrt(w.dot(w))
             if beta < 1e-13 * max(1.0, abs(T[0, 0])):
                 exhausted = True  # invariant subspace found
                 break
@@ -97,10 +97,11 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
             evals, evecs = np.linalg.eigh(T[:m, :m])
             theta = evals[0]
             x = V[:m].T @ evecs[:, 0]
-            x /= np.linalg.norm(x)
+            x /= np.sqrt(x.dot(x))
             hx = matvec(x)
             n_matvec += 1
-        residual = np.linalg.norm(hx - theta * x)
+        r = hx - theta * x
+        residual = np.sqrt(r.dot(r))
         if residual <= tol * max(1.0, abs(theta)) or (exhausted and m < m_cap):
             return theta, x, {
                 "converged": True,

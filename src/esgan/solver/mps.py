@@ -77,6 +77,7 @@ class ChargeBlocks:
         self.offsets = np.append(first, i.size)
         self.size = i.size
         self.charges = np.asarray(row_q)[self.row_order[self.row_lo]]
+        self._plan = None
 
     def gather(self, M):
         """Block vector of the allowed entries of M (any shape whose
@@ -94,8 +95,43 @@ class ChargeBlocks:
         ]
 
     def svd(self, x):
-        """Thin SVD (U, s, Vt) of every block of a block vector."""
-        return [np.linalg.svd(M, full_matrices=False) for M in self.views(x)]
+        """Thin SVD (U, s, Vt) of every block of a block vector.
+
+        Blocks of one shape are SVDed in one stacked call, which runs the
+        same LAPACK routine on each and gives the same bits as one call
+        per block.
+        """
+        out = [None] * self.keys.size
+        singles, stacks = self._svd_plan()
+        for n, lo, hi, r, c in singles:
+            out[n] = np.linalg.svd(x[lo:hi].reshape(r, c), full_matrices=False)
+        for blocks, index in stacks:
+            U, s, Vt = np.linalg.svd(x[index], full_matrices=False)
+            for j, n in enumerate(blocks):
+                out[n] = U[j], s[j], Vt[j]
+        return out
+
+    def _svd_plan(self):
+        """(singles, stacks): each block alone in its shape as (block, lo,
+        hi, rows, cols) in Python ints, and each shape shared by several
+        blocks as (blocks, index) with the (blocks, rows, cols) positions
+        of their entries in a block vector."""
+        if self._plan is None:
+            nr, nc = self.row_hi - self.row_lo, self.col_hi - self.col_lo
+            shape = nr * (nc.max() + 1) + nc
+            order = np.argsort(shape, kind="stable")
+            runs = np.append(_first_of_runs(shape[order]), order.size)
+            singles, stacks = [], []
+            for lo, hi in zip(runs[:-1], runs[1:]):
+                blocks = order[lo:hi].tolist()
+                r, c = int(nr[blocks[0]]), int(nc[blocks[0]])
+                ofs = self.offsets[blocks]
+                if len(blocks) == 1:
+                    singles.append((blocks[0], int(ofs[0]), int(ofs[0]) + r * c, r, c))
+                else:
+                    stacks.append((blocks, ofs[:, None, None] + np.arange(r * c).reshape(r, c)))
+            self._plan = singles, stacks
+        return self._plan
 
     def factors(self, svds, kept=None):
         """Dense factors from the leading ``kept[n]`` vectors of block n.
@@ -107,17 +143,25 @@ class ChargeBlocks:
         """
         if kept is None:
             kept = [sv[1].size for sv in svds]
-        k = int(np.sum(kept))
-        U = np.zeros((self.row_order.size, k))
-        Vt = np.zeros((k, self.col_order.size))
+        kept = np.asarray(kept)
+        k = int(kept.sum())
+        # filled by slices with rows and columns in sorted order, then put
+        # in place; Python ints make the slices cheap
+        Us = np.zeros((self.row_order.size, k))
+        Vts = np.zeros((k, self.col_order.size))
         s = np.empty(k)
         ofs = 0
-        for n, (Ub, sb, Vtb) in enumerate(svds):
-            kb = int(kept[n])
-            U[self.row_order[self.row_lo[n]:self.row_hi[n]], ofs:ofs + kb] = Ub[:, :kb]
-            Vt[ofs:ofs + kb, self.col_order[self.col_lo[n]:self.col_hi[n]]] = Vtb[:kb]
+        bounds = zip(kept.tolist(), self.row_lo.tolist(), self.row_hi.tolist(),
+                     self.col_lo.tolist(), self.col_hi.tolist())
+        for (Ub, sb, Vtb), (kb, r0, r1, c0, c1) in zip(svds, bounds):
+            Us[r0:r1, ofs:ofs + kb] = Ub[:, :kb]
+            Vts[ofs:ofs + kb, c0:c1] = Vtb[:kb]
             s[ofs:ofs + kb] = sb[:kb]
             ofs += kb
+        U = np.empty_like(Us)
+        U[self.row_order] = Us
+        Vt = np.empty_like(Vts)
+        Vt[:, self.col_order] = Vts
         return U, s, Vt, np.repeat(self.charges, kept, axis=0)
 
 
@@ -229,7 +273,8 @@ def shift_center_right(mps, collect=None):
     )
     mps.site_tensors[i] = A
     mps.bond_charges[i + 1] = q_new
-    mps.site_tensors[i + 1] = np.tensordot(carry, mps.site_tensors[i + 1], axes=([1], [0]))
+    T = mps.site_tensors[i + 1]
+    mps.site_tensors[i + 1] = np.dot(carry, T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:])
     mps.canonical_center = i + 1
     if collect is not None:
         collect.append((i + 1, s, q_new))
@@ -243,7 +288,8 @@ def shift_center_left(mps):
     )
     mps.site_tensors[i] = B
     mps.bond_charges[i] = q_new
-    mps.site_tensors[i - 1] = np.tensordot(mps.site_tensors[i - 1], carry, axes=([2], [0]))
+    T = mps.site_tensors[i - 1]
+    mps.site_tensors[i - 1] = np.dot(T.reshape(-1, T.shape[2]), carry).reshape(*T.shape[:2], -1)
     mps.canonical_center = i - 1
 
 

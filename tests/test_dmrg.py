@@ -11,9 +11,11 @@ from esgan.solver import (
     DmrgConfig,
     dmrg_ground_state,
     ed_ground_state,
+    expectation_value,
     schmidt_decompose,
 )
 from esgan.solver.mps import (
+    ChargeBlocks,
     _split_site_left,
     _split_site_right,
     allowed_mask_site,
@@ -28,9 +30,12 @@ from esgan.solver.mps import (
 from esgan.solver.dmrg import (
     TwoSiteBlocks,
     TwoSiteHeff,
+    _contract_left,
+    _contract_right,
     bond_channels,
     build_mpo,
     mpo_charges,
+    sweep_channels,
 )
 
 from oracles import (
@@ -348,3 +353,96 @@ def test_warm_start_rejects_wrong_length_basis_or_sector():
         with pytest.raises(ValueError, match=match):
             dmrg_ground_state(other, cfg, psi0=psi0)
     assert dmrg_ground_state(spec, cfg, psi0=psi0).converged
+
+
+def test_planned_contractions_equal_tensordot():
+    # the environment updates and the gauge moves call np.dot on the arrays
+    # np.tensordot would build, so they must give its bits, not just its values
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        l, d, r, Dw, Dv = rng.integers(1, 7, size=5)
+        A = rng.standard_normal((l, d, r))
+        W = rng.standard_normal((Dw, d, d, Dv))
+        EL = rng.standard_normal((l, Dw, l))
+        ER = rng.standard_normal((r, Dv, r))
+        X = np.tensordot(EL, A, axes=([0], [0]))
+        X = np.tensordot(X, W, axes=([0, 2], [0, 1]))
+        assert np.array_equal(_contract_left(EL, A, W), np.tensordot(X, A, axes=([0, 2], [0, 1])))
+        X = np.tensordot(A, ER, axes=([2], [0]))
+        X = np.tensordot(X, W, axes=([1, 2], [1, 3]))
+        assert np.array_equal(_contract_right(ER, A, W), np.tensordot(X, A, axes=([3, 1], [1, 2])))
+    # gauge moves, on a random charge-consistent MPS
+    spec = build_model("bh", L=6, control=2.0, n_max=3)
+    psi = dmrg_ground_state(spec, DmrgConfig(chi_max=12, max_sweeps=3, seed=4))
+    psi.site_tensors = [
+        rng.standard_normal(T.shape) * allowed_mask_site(psi.bond_charges[i], spec.site_charge_array(),
+                                                         psi.bond_charges[i + 1])
+        for i, T in enumerate(psi.site_tensors)
+    ]
+    work = copy_mps(psi)
+    move_center(work, 3)
+    ref = copy_mps(psi)
+    qsite = spec.site_charge_array()
+    for i in range(3):
+        A, carry, q_new, _ = _split_site_right(ref.site_tensors[i], ref.bond_charges[i], qsite,
+                                               ref.bond_charges[i + 1])
+        ref.site_tensors[i], ref.bond_charges[i + 1] = A, q_new
+        ref.site_tensors[i + 1] = np.tensordot(carry, ref.site_tensors[i + 1], axes=([1], [0]))
+    for i in range(3, 0, -1):
+        B, carry, q_new, _ = _split_site_left(ref.site_tensors[i], ref.bond_charges[i], qsite,
+                                              ref.bond_charges[i + 1])
+        ref.site_tensors[i], ref.bond_charges[i] = B, q_new
+        ref.site_tensors[i - 1] = np.tensordot(ref.site_tensors[i - 1], carry, axes=([2], [0]))
+    move_center(work, 0)
+    assert all(np.array_equal(a, b) for a, b in zip(work.site_tensors, ref.site_tensors))
+
+
+def test_stacked_block_svd_equals_per_block_svd():
+    # blocks of one shape share one stacked LAPACK call; each must get the
+    # bits of its own call
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        row_q = rng.integers(0, 4, size=(int(rng.integers(6, 30)), 1))
+        col_q = rng.integers(0, 4, size=(int(rng.integers(6, 30)), 1))
+        try:
+            blocks = ChargeBlocks(row_q, col_q)
+        except RuntimeError:
+            continue  # no allowed entry
+        x = rng.standard_normal(blocks.size)
+        for got, M in zip(blocks.svd(x), blocks.views(x)):
+            for a, b in zip(got, np.linalg.svd(M, full_matrices=False)):
+                assert np.array_equal(a, b)
+    # equal shapes do occur: two 2x2 blocks and a 1x3 one
+    blocks = ChargeBlocks(np.array([[0], [1], [0], [1], [2]]), np.array([[1], [0], [2], [2], [0], [1], [2]]))
+    singles, stacks = blocks._svd_plan()
+    assert [n for n, *_ in singles] == [2] and [b for b, _ in stacks] == [[0, 1]]
+
+
+@pytest.mark.parametrize(
+    "model_id, L, control, cfg",
+    [("xxz", 10, -0.7, dict(chi_max=32)), ("bh", 8, 2.5, dict(chi_max=24)),
+     ("bh2s", 6, 0.5, dict(chi_max=48))],
+)
+def test_energy_from_sweep_environments_matches_full_contraction(model_id, L, control, cfg):
+    spec = build_model(model_id, L, control)
+    psi = dmrg_ground_state(spec, DmrgConfig(seed=6, **cfg))
+    ref = expectation_value(psi, build_mpo(spec))
+    assert abs(psi.energy - ref) <= 1e-12 * abs(ref)
+
+
+def test_channels_are_planned_once_per_mpo_pattern():
+    # a chain shares one plan; XXZ at delta = 0 drops its zz channel, so its
+    # pattern, and its plan, differ from delta = -0.5's
+    def plan(control):
+        spec = build_model("xxz", 6, control)
+        mpo = build_mpo(spec)
+        return mpo, sweep_channels(mpo, spec.site_charge_array())
+
+    for control in (-0.5, 0.0):
+        mpo, got = plan(control)
+        c = mpo_charges(mpo, build_model("xxz", 6, control).site_charge_array())
+        for i, (W1, W2, keys) in enumerate(got):
+            ref = bond_channels(mpo[i], mpo[i + 1], c[i + 1])
+            assert all(np.array_equal(a, b) for a, b in zip((W1, W2, keys), ref))
+    assert plan(-0.5)[1][2][2] is plan(-0.3)[1][2][2]
+    assert plan(0.0)[1][2][2].size < plan(-0.5)[1][2][2].size
