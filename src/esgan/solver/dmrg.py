@@ -6,9 +6,9 @@ one in-flight state per two-site term lives on the bond it straddles
 (bond dimension 5 for the spin chain, 4 for single-species bosons, 6 for
 two species).  Each MPO state carries a charge: 0 for the first and last
 state, the charge of the pending operator for an in-flight one.  Sweeps
-optimize two adjacent sites at a time with the restarted Lanczos solver,
-split the optimized block by a charge-resolved SVD, and truncate to
-chi_max, never splitting a degenerate multiplet.
+optimize two adjacent sites at a time, split the optimized block by a
+charge-resolved SVD, and truncate to chi_max, never splitting a
+degenerate multiplet.
 
 The local eigenproblem works on charge blocks only.  The two-site block
 theta[a, s1, s2, b] is a matrix with rows (a, s1), of charge
@@ -25,6 +25,15 @@ to the blocks q + delta_v only, and only those pieces of LW_v and RW_v
 are gathered (TwoSiteHeff).  The split SVDs each block where it lies and
 truncates across all of them; the kept vectors become dense site tensors
 with charge labels, as are the environments (see mps.py).
+
+The local eigenproblem is solved one of two ways.  A problem of at most
+N_DENSE entries is assembled as a dense matrix from the same gathered
+pieces (TwoSiteHeff.dense) and diagonalized by np.linalg.eigh; on short
+chains most bond updates are this small, and for them a dense solve costs
+less than the Python overhead of a Lanczos run.  A larger one, or one
+whose two lowest eigenvalues are degenerate to DEGENERATE_TOL, goes to
+the restarted Lanczos solver from the current block, which picks the
+ground state nearest it.
 
 A cold search starts from a product state in the target sector; the
 first ``warmup_sweeps`` sweeps run at a reduced bond dimension and add a
@@ -75,6 +84,17 @@ from .mps import ChargeBlocks, MPSState, charge_keys, move_center, mps_norm, pro
 # phase (bond dimension, scale of the noise added to each two-site block)
 LANCZOS_DIM = 20
 LANCZOS_TOL = 1e-12
+# Largest local problem (charge-allowed entries) solved by a dense eigh, and
+# the gap below which its ground state counts as degenerate and goes to
+# Lanczos (see the module docstring).  Crossover, one BLAS thread, per solve
+# on the XXZ L=8 and BH L=8 perfbench chains: dense 70 us at n <= 8, 150 us
+# at n <= 24, 430 us at n = 41-48, 865 us at n = 70; Lanczos 140-320 us on
+# warm XXZ problems up to n = 24, 387 us at XXZ's n = 70 and 970-1 340 us
+# on BH's n = 41-56.  Serial sweep-dense chain, median of 6 interleaved
+# runs against Lanczos alone: 0.85-0.89x for N_DENSE 24-48, 0.92x at 64,
+# 1.21x at 96.
+N_DENSE = 48
+DEGENERATE_TOL = 1e-12
 WARMUP_CHI = 16
 NOISE_SCALE = 1e-6
 # Largest change of the central bond's Schmidt weights s^2 between the two
@@ -358,7 +378,21 @@ class TwoSiteHeff:
         self._y = np.zeros(blocks.size)
         self._z = np.empty(int((nr * width).sum()))
         self._s = np.empty(self._s_index.size)
-        self._right, self._left = [], []
+        if blocks.size <= N_DENSE:
+            # dense(): column j of H_eff is the matvec of unit vector j, whose
+            # Z is one row of R; G holds those rows at their S positions, so
+            # G[(path, c), (k, a, b)] = R_k[b, run + c] for a path from row a
+            # of block k
+            path = np.repeat(np.arange(pp.size), n)
+            kp = k[path]
+            m = nc[kp]
+            r_at = np.cumsum(nc * width) - nc * width  # where R_k starts in _R
+            col = np.repeat(blocks.offsets[kp] + (pp - blocks.row_lo[k])[path] * m, m)
+            b = _ragged_arange(m)
+            self._g_dst = np.repeat(np.arange(path.size), m) * blocks.size + col + b
+            self._g_src = (np.repeat(r_at[kp] + run[path] + _ragged_arange(n), m)
+                           + b * np.repeat(width[kp], m))
+        self._right, self._left, self._rows = [], [], []
         r_ofs = l_ofs = s_ofs = 0
         for t in range(nb):
             lo, hi = blocks.offsets[t], blocks.offsets[t + 1]
@@ -375,6 +409,7 @@ class TwoSiteHeff:
                     self._s[s_ofs:s_ofs + depth[t] * nc[t]].reshape(depth[t], nc[t]),
                     self._y[lo:hi].reshape(nr[t], nc[t]),
                 ))
+                self._rows.append((int(lo), int(hi), int(s_ofs), int(s_ofs + depth[t] * nc[t])))
                 l_ofs += nr[t] * depth[t]
                 s_ofs += depth[t] * nc[t]
 
@@ -386,6 +421,18 @@ class TwoSiteHeff:
         Y = self.W2.reshape(-1, self.W2.shape[3]) @ ER.transpose(1, 0, 2).reshape(-1, r * r)
         Y.take(self._R_index, out=self._R)
         return self
+
+    def dense(self):
+        """H_eff as an (n, n) matrix over the block vector (n entries of
+        at most N_DENSE), from the pieces ``load`` gathered: the matvec
+        applied to all n unit vectors in one pass."""
+        n = self.blocks.size
+        G = np.zeros((self._s.size, n))
+        G.flat[self._g_dst] = self._R[self._g_src]
+        H = np.zeros((n, n))
+        for (L, _, _), (lo, hi, s_lo, s_hi) in zip(self._left, self._rows):
+            np.matmul(L, G[s_lo:s_hi].reshape(L.shape[1], -1), out=H[lo:hi].reshape(L.shape[0], -1))
+        return H
 
     def matvec(self, x):
         np.copyto(self._x, x)
@@ -429,6 +476,27 @@ def select_cut(s, chi_max, cutoff, degeneracy_rtol=1e-12):
     keep[order[:nk]] = True
     kept_weight = float((ss[:nk] ** 2).sum())
     return keep, 1.0 - kept_weight / total
+
+
+def local_ground_state(heff, x, max_restarts):
+    """Lowest eigenpair (energy, vector, info) of a loaded TwoSiteHeff from
+    the unit start vector ``x``.
+
+    A problem of at most N_DENSE entries whose ground state is not
+    degenerate is solved by np.linalg.eigh on ``heff.dense()``, its vector
+    signed to overlap ``x`` positively, and ``info`` is None; any other goes
+    to lowest_eigenpair, whose info dict is returned.
+    """
+    if x.size <= N_DENSE:
+        evals, evecs = np.linalg.eigh(heff.dense())
+        if x.size == 1 or evals[1] - evals[0] > DEGENERATE_TOL * max(1.0, abs(evals[0])):
+            vec = evecs[:, 0].copy()
+            if vec.dot(x) < 0.0:
+                vec *= -1.0
+            return evals[0], vec, None
+    return lowest_eigenpair(
+        heff.matvec, x, tol=LANCZOS_TOL, krylov_dim=LANCZOS_DIM, max_restarts=max_restarts
+    )
 
 
 def split_two_site(blocks, x, chi_max, cutoff):
@@ -499,8 +567,10 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     raises ValueError.  The returned state carries the variational energy
     <H> of the final state, read off the last half-sweep's environments
     (see the module docstring), the accumulated truncated weight,
-    per-sweep energies, a ``converged`` flag and ``stats`` (matvecs,
-    sweeps, layouts built);
+    per-sweep energies, a ``converged`` flag and ``stats``: matvecs,
+    sweeps, layouts built, and the bond updates solved densely
+    (``dense_solves``) and by Lanczos (``lanczos_solves``), which sum to
+    all bond updates (see the module docstring);
     non-convergence also raises a ConvergenceWarning but still returns
     the state.
     """
@@ -536,7 +606,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     for j in range(L - 1, 0, -1):
         ER[j] = _contract_right(ER[j + 1], psi.site_tensors[j], mpo[j])
     total_discard = 0.0
-    n_matvec = 0
+    n_matvec = n_dense = n_lanczos = 0
     sweep_energy_prev = None
     converged = False
     for sweep in range(config.max_sweeps):
@@ -564,14 +634,12 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 if nrm == 0.0:
                     raise RuntimeError("two-site block vanished during sweep")
                 x /= nrm
-                energy, vec, info = lowest_eigenpair(
-                    heff.matvec,
-                    x,
-                    tol=LANCZOS_TOL,
-                    krylov_dim=LANCZOS_DIM,
-                    max_restarts=max_restarts,
-                )
-                n_matvec += info["matvecs"]
+                energy, vec, info = local_ground_state(heff, x, max_restarts)
+                if info is None:
+                    n_dense += 1
+                else:
+                    n_lanczos += 1
+                    n_matvec += info["matvecs"]
                 U3, s, Vt3, q_new, discarded = split_two_site(
                     blocks, vec, chi, config.svd_cutoff
                 )
@@ -625,6 +693,8 @@ def dmrg_ground_state(spec, config=None, psi0=None):
         "matvecs": n_matvec,
         "sweeps": len(psi.sweep_energies),
         "layouts_built": n_built,
+        "dense_solves": n_dense,
+        "lanczos_solves": n_lanczos,
     }
     if not converged:
         warnings.warn(

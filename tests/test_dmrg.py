@@ -12,6 +12,7 @@ from esgan.solver import (
     dmrg_ground_state,
     ed_ground_state,
     expectation_value,
+    lowest_eigenpair,
     schmidt_decompose,
 )
 from esgan.solver.mps import (
@@ -34,6 +35,8 @@ from esgan.solver.dmrg import (
     _contract_right,
     bond_channels,
     build_mpo,
+    N_DENSE,
+    local_ground_state,
     mpo_charges,
     sweep_channels,
 )
@@ -446,3 +449,72 @@ def test_channels_are_planned_once_per_mpo_pattern():
             assert all(np.array_equal(a, b) for a, b in zip((W1, W2, keys), ref))
     assert plan(-0.5)[1][2][2] is plan(-0.3)[1][2][2]
     assert plan(0.0)[1][2][2].size < plan(-0.5)[1][2][2].size
+
+
+def _bond_problem(model_id, L, bond, chi_max):
+    """The loaded TwoSiteHeff of ``bond`` for a converged state, with its
+    environments and MPO: symmetric, like every problem a sweep solves."""
+    spec = build_model(model_id, L, 0.7)
+    psi = dmrg_ground_state(spec, DmrgConfig(chi_max=chi_max, seed=5))
+    mpo = build_mpo(spec)
+    EL, ER = np.ones((1, 1, 1)), np.ones((1, 1, 1))
+    for j in range(bond):
+        EL = _contract_left(EL, psi.site_tensors[j], mpo[j])
+    for j in range(L - 1, bond + 1, -1):
+        ER = _contract_right(ER, psi.site_tensors[j], mpo[j])
+    blocks = TwoSiteBlocks(psi.bond_charges[bond], spec.site_charge_array(), psi.bond_charges[bond + 2])
+    channels = sweep_channels(mpo, spec.site_charge_array())[bond]
+    return TwoSiteHeff(blocks, channels).load(EL, ER), EL, ER, mpo, spec
+
+
+@pytest.mark.parametrize("model_id, L, bond", [("xxz", 8, 2), ("bh", 4, 1), ("bh2s", 4, 0)])
+def test_dense_h_eff_matches_oracle_and_matvec(model_id, L, bond):
+    heff, EL, ER, mpo, spec = _bond_problem(model_id, L, bond, chi_max=8)
+    blocks = heff.blocks
+    n = blocks.size
+    assert 1 < n <= N_DENSE and blocks.keys.size > 1
+    H = heff.dense()
+    scale = np.abs(H).max()
+    assert np.abs(H - H.T).max() <= 1e-13 * scale
+    qsite = spec.site_charge_array()
+    mask = allowed_mask_two_site(blocks.qL, qsite, qsite, blocks.qR)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        theta = np.zeros(mask.size)
+        theta[blocks.index[j]] = 1.0
+        ref = blocks.gather(apply_h_eff_dense(theta.reshape(mask.shape), EL, mpo[bond], mpo[bond + 1], ER, mask))
+        assert np.abs(H[:, j] - ref).max() <= 1e-13 * scale
+        assert np.abs(H[:, j] - heff.matvec(e)).max() <= 1e-13 * scale
+
+
+def test_small_local_problems_solve_densely_unless_degenerate():
+    heff, *_ = _bond_problem("xxz", 8, 2, chi_max=8)
+    x = np.random.default_rng(3).standard_normal(heff.blocks.size)
+    x /= np.linalg.norm(x)
+    energy, vec, info = local_ground_state(heff, x, max_restarts=12)
+    assert info is None and vec.dot(x) > 0.0
+    e_ref, v_ref, _ = lowest_eigenpair(heff.matvec, x, tol=1e-13)
+    v_ref *= np.sign(v_ref.dot(x))  # Lanczos leaves the sign to eigh
+    assert abs(energy - e_ref) < 1e-12 and np.abs(vec - v_ref).max() < 1e-10
+    # environments that carry only the finished state make H_eff the
+    # identity: every eigenvalue is degenerate, so Lanczos takes over
+    blocks, channels = heff.blocks, (heff.W1, heff.W2, heff.dk)
+    l, r = blocks.qL.shape[0], blocks.qR.shape[0]
+    EL = np.zeros((l, heff.W1.shape[0], l))
+    EL[:, -1, :] = np.eye(l)
+    ER = np.zeros((r, heff.W2.shape[3], r))
+    ER[:, -1, :] = np.eye(r)
+    ident = TwoSiteHeff(blocks, channels).load(EL, ER)
+    assert np.array_equal(ident.dense(), np.eye(blocks.size))
+    energy, vec, info = local_ground_state(ident, x, max_restarts=12)
+    assert info is not None and abs(energy - 1.0) < 1e-14 and np.abs(vec - x).max() < 1e-15
+
+
+def test_solve_counts_split_bond_updates_by_path():
+    # L = 8 at chi 64: every bond update of the chain ends exact and small
+    # enough near the edges to solve densely, the centre by Lanczos
+    psi = dmrg_ground_state(build_model("xxz", 8, -0.5), DmrgConfig(seed=1))
+    stats = psi.stats
+    assert stats["dense_solves"] + stats["lanczos_solves"] == stats["sweeps"] * 2 * 7
+    assert stats["dense_solves"] > 0 and stats["lanczos_solves"] > 0
