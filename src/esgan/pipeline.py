@@ -459,10 +459,14 @@ def generate(cfg, log=None):
     path = _output_path(cfg.out_path, cfg.model_id, cfg.L, ".ds")
     if os.path.exists(path):
         ds = read_dataset(path)
+        # every header field a sweep sets: records solved with another
+        # cutoff or seed would be misdescribed by the header
         for key, want in (
             ("model_id", cfg.model_id),
             ("L", cfg.L),
             ("chi_max", cfg.chi_max),
+            ("svd_cutoff", cfg.svd_cutoff),
+            ("seed", cfg.seed),
         ):
             have = getattr(ds, key)
             if have != want:

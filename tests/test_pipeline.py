@@ -568,12 +568,15 @@ def test_generate_returns_what_the_file_holds(tmp_path):
 
 def test_generate_rejects_mismatched_existing_file(tmp_path):
     ds, path = tiny_sweep(tmp_path, count=3)
-    cfg = SweepConfig(
-        model_id="xxz", L=8, control_min=-1.0, control_max=0.0,
-        count=3, chi_max=16, out_path=path,
-    )
-    with pytest.raises(ConfigError):
-        generate(cfg)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    base = dict(model_id="xxz", L=6, control_min=-1.0, control_max=0.0, count=4,
+                chi_max=16, out_path=path)
+    for key, value in [("L", 8), ("chi_max", 32), ("svd_cutoff", 1e-12), ("seed", 7)]:
+        with pytest.raises(ConfigError, match=f"holds {key}="):
+            generate(SweepConfig(**{**base, key: value}))
+    with open(path, "rb") as fh:
+        assert fh.read() == before
 
 
 def test_sweep_config_validation():
