@@ -591,7 +591,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
         psi.layouts = [None] * (L - 1)
     # per bond: the last TwoSiteHeff built there, here or by the solve
     # psi0 came from; an inherited one fits while its channels carry the
-    # same charges (zero couplings drop channels, see bond_channels)
+    # same charges (zero couplings drop channels, see sweep_channels)
     layouts = psi.layouts
     for i, heff in enumerate(layouts):
         if heff is not None and np.array_equal(heff.dk, channels[i][2]):

@@ -84,16 +84,6 @@ class ChargeBlocks:
         row-major ravel is the matrix)."""
         return M.ravel()[self.index]
 
-    def views(self, x):
-        """The blocks of a block vector, as matrices sharing its memory."""
-        return [
-            x[lo:hi].reshape(r1 - r0, c1 - c0)
-            for lo, hi, r0, r1, c0, c1 in zip(
-                self.offsets[:-1], self.offsets[1:],
-                self.row_lo, self.row_hi, self.col_lo, self.col_hi,
-            )
-        ]
-
     def svd(self, x):
         """Thin SVD (U, s, Vt) of every block of a block vector.
 
