@@ -4,10 +4,12 @@ The Hamiltonian is encoded as a finite-state-machine MPO: virtual state 0
 means nothing placed yet, the last state means the term is complete, and
 one in-flight state per two-site term lives on the bond it straddles
 (bond dimension 5 for the spin chain, 4 for single-species bosons, 6 for
-two species).  Each MPO state carries a charge: 0 for the first and last
-state, the charge of the pending operator for an in-flight one.  Sweeps
-optimize two adjacent sites at a time, split the optimized block by a
-charge-resolved SVD, and truncate to chi_max, never splitting a
+two species), whose charges build_mpo assigns as it places the terms: 0
+for the first and last state, that of the pending operator for an in-flight
+one.  It checks every nonzero entry against them and hands the sweep each
+bond's channels, the states both sites reach; a zero coupling drops its
+state.  Sweeps optimize two adjacent sites at a time, split the optimized
+block by a charge-resolved SVD, and truncate to chi_max, never splitting a
 degenerate multiplet.
 
 The local eigenproblem works on charge blocks only.  The two-site block
@@ -100,6 +102,9 @@ NOISE_SCALE = 1e-6
 # Largest change of the central bond's Schmidt weights s^2 between the two
 # halves of a sweep whose halves count as agreeing (see the module docstring)
 SCHMIDT_TOL = 1e-10
+# Relative gap within which select_cut keeps neighbouring values together
+# (rounding can still part a symmetry pair: CHANGES, FOUND on select_cut)
+DEGENERACY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,11 +140,19 @@ class ConvergenceWarning(UserWarning):
 
 
 def build_mpo(spec):
-    """Finite-state-machine MPO tensors W[i] of shape (Dl, d, d, Dr).
+    """Finite-state-machine MPO of ``spec`` and the channels of its bonds.
 
-    Index convention: W[w, s_out, s_in, v].  Virtual state 0 = nothing
-    placed yet, last state = finished, states 1..m = in-flight two-site
-    terms of the bond between this site and the next.
+    Returns (mpo, channels).  mpo[i] is W[w, s_out, s_in, v] of shape
+    (Dl, d, d, Dr): state 0 = nothing placed yet, last state = finished,
+    states 1..m = in-flight two-site terms of the bond to the next site.
+    The first and last state carry charge 0, an in-flight state the charge
+    its left operator adds, and a nonzero entry that breaks
+    c[w] + q[s_out] - q[s_in] == c'[v] (c, c' the charges of the bonds
+    either side of the site) raises ValueError.
+
+    channels[i] is (W1, W2, keys): mpo[i] and mpo[i + 1] restricted to the
+    states of their bond that both reach, by ascending charge key (then
+    state), and those keys.  A zero coupling leaves its state unreached.
     """
     d = spec.local_dim
     L = spec.L
@@ -152,25 +165,42 @@ def build_mpo(spec):
             j1, j2 = sites
             if j2 != j1 + 1:
                 raise ValueError("only nearest-neighbor terms are supported")
-            bond_terms[j1].append((coeff * mats[0], mats[1]))
+            bond_terms[j1].append((coeff, mats[0], mats[1]))
     dims = [1] + [2 + len(bt) for bt in bond_terms] + [1]
     eye = np.eye(d)
-    mpo = []
+    # charges as charge_keys (linear): the key entry (s_out, s_in) adds, and an
+    # in-flight state's, added by the first nonzero entry of its left operator
+    kq = charge_keys(spec.site_charge_array())
+    step = kq[:, None] - kq
+    lefts = np.array([left for bt in bond_terms for _, left, _ in bt]).reshape(-1, d * d)
+    pending = step.ravel()[(lefts != 0).argmax(axis=1)]
+    mpo, keys = [], [np.zeros(1, dtype=np.int64)]
     for i in range(L):
         Dl, Dr = dims[i], dims[i + 1]
         W = np.zeros((Dl, d, d, Dr))
+        k = np.zeros(Dr, dtype=np.int64)
         done_out = Dr - 1
         W[0, :, :, done_out] += onsite[i]
         if i < L - 1:
             W[0, :, :, 0] = eye
-            for t, (left_mat, _) in enumerate(bond_terms[i]):
-                W[0, :, :, 1 + t] = left_mat
+            for t, (coeff, left_mat, _) in enumerate(bond_terms[i]):
+                W[0, :, :, 1 + t] = coeff * left_mat
+            k[1:done_out], pending = pending[:done_out - 1], pending[done_out - 1:]
         if i > 0:
-            for t, (_, right_mat) in enumerate(bond_terms[i - 1]):
+            for t, (_, _, right_mat) in enumerate(bond_terms[i - 1]):
                 W[1 + t, :, :, done_out] += right_mat
             W[Dl - 1, :, :, done_out] += eye
+        w, s_out, s_in, v = W.nonzero()
+        if (keys[i][w] + step[s_out, s_in] != k[v]).any():
+            raise ValueError("MPO does not conserve the charges")
         mpo.append(W)
-    return mpo
+        keys.append(k)
+    channels = []
+    for W1, W2, k in zip(mpo, mpo[1:], keys[1:]):
+        live = (W1.any(axis=(0, 1, 2)) & W2.any(axis=(1, 2, 3))).nonzero()[0]
+        live = live[k[live].argsort(kind="stable")]
+        channels.append((W1.take(live, axis=3), W2.take(live, axis=0), k[live]))
+    return mpo, channels
 
 
 # The environment updates are three matrix products each.  They call np.dot
@@ -205,76 +235,6 @@ def expectation_value(mps, mpo):
         E = _contract_left(E, A, W)
     nrm = mps_norm(mps)
     return float(E[0, 0, 0]) / nrm**2
-
-
-def mpo_charges(mpo, qsite):
-    """Charge of every MPO state, one (D_b, n_charges) array per MPO bond.
-
-    W[w, s_out, s_in, v] may be nonzero only where
-    c_b[w] + q[s_out] - q[s_in] == c_{b+1}[v].  The charges follow from
-    the nonzero pattern, left to right from the charge-0 boundary state;
-    a state no nonzero entry reaches keeps charge 0.
-    """
-    charges = [np.zeros((1, qsite.shape[1]), dtype=np.int64)]
-    reached = np.ones(1, dtype=bool)
-    for W in mpo:
-        w, s_out, s_in, v = np.nonzero(W)
-        live = reached[w]
-        w, s_out, s_in, v = w[live], s_out[live], s_in[live], v[live]
-        step = charges[-1][w] + qsite[s_out] - qsite[s_in]
-        c = np.zeros((W.shape[3], qsite.shape[1]), dtype=np.int64)
-        c[v] = step
-        if not np.array_equal(c[v], step):
-            raise ValueError("MPO does not conserve the charges")
-        charges.append(c)
-        reached = np.zeros(W.shape[3], dtype=bool)
-        reached[v] = True
-    return charges
-
-
-def _live_states(W1, W2, c):
-    """The states of the bond between W1 and W2 that both reach, by
-    ascending charge key (then state), and those keys."""
-    live = np.flatnonzero(np.any(W1, axis=(0, 1, 2)) & np.any(W2, axis=(1, 2, 3)))
-    keys = charge_keys(c[live])
-    order = np.argsort(keys, kind="stable")
-    return live[order], keys[order]
-
-
-def bond_channels(W1, W2, c):
-    """MPO states of the bond between W1 and W2, sorted by charge.
-
-    Returns (W1', W2', keys): the two tensors restricted to the states
-    both reach, ordered by ascending charge key (then state), and those
-    keys.
-    """
-    live, keys = _live_states(W1, W2, c)
-    return W1[..., live], W2[live], keys
-
-
-# (live states, keys) of every bond, by MPO nonzero pattern and site charges
-_CHANNEL_PLANS = {}
-
-
-def sweep_channels(mpo, qsite):
-    """bond_channels of every bond of ``mpo``.
-
-    Which states live on a bond, and their charges, follow from the MPO's
-    nonzero pattern (mpo_charges), so they are worked out once per pattern
-    and site charges; a chain of control values shares one.  The pattern
-    is the key, not the model: XXZ at delta = 0 drops its zz channel.
-    """
-    key = (qsite.tobytes(), qsite.shape) + tuple((W.shape, (W != 0).tobytes()) for W in mpo)
-    plan = _CHANNEL_PLANS.get(key)
-    if plan is None:
-        c = mpo_charges(mpo, qsite)
-        plan = [_live_states(mpo[i], mpo[i + 1], c[i + 1]) for i in range(len(mpo) - 1)]
-        for _, keys in plan:
-            keys.setflags(write=False)  # shared by every TwoSiteHeff of the pattern
-        if len(_CHANNEL_PLANS) >= 32:
-            _CHANNEL_PLANS.clear()
-        _CHANNEL_PLANS[key] = plan
-    return [(mpo[i][..., live], mpo[i + 1][live], keys) for i, (live, keys) in enumerate(plan)]
 
 
 class TwoSiteBlocks(ChargeBlocks):
@@ -444,12 +404,12 @@ class TwoSiteHeff:
         return self._y.copy()
 
 
-def select_cut(s, chi_max, cutoff, degeneracy_rtol=1e-12):
+def select_cut(s, chi_max, cutoff):
     """Which of the concatenated singular values survive truncation.
 
     Values are ranked globally; weights p = s^2 / sum(s^2) below ``cutoff``
     are dropped, then the bond is capped at ``chi_max``.  If the resulting
-    boundary falls inside a multiplet degenerate to ``degeneracy_rtol``,
+    boundary falls inside a multiplet degenerate to DEGENERACY_RTOL,
     the whole multiplet is dropped; if that would empty the bond, the cap
     is applied as-is and a warning is issued.
 
@@ -464,7 +424,7 @@ def select_cut(s, chi_max, cutoff, degeneracy_rtol=1e-12):
     n_keep = int(np.sum(ss * ss >= cutoff * total))
     n_keep = max(1, min(n_keep, chi_max))
     nk = n_keep
-    while 0 < nk < n and (ss[nk - 1] - ss[nk]) <= degeneracy_rtol * ss[nk - 1]:
+    while 0 < nk < n and (ss[nk - 1] - ss[nk]) <= DEGENERACY_RTOL * ss[nk - 1]:
         nk -= 1
     if nk == 0:
         warnings.warn(
@@ -576,22 +536,21 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     """
     if config is None:
         config = DmrgConfig()
+    mpo, channels = build_mpo(spec)
     if psi0 is None:
         psi = product_mps(spec, seed=config.seed)
         n_warmup = config.warmup_sweeps
     else:
         psi = _warm_start(spec, psi0)
         n_warmup = 0
-    mpo = build_mpo(spec)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     qsite = spec.site_charge_array()
     L = spec.L
-    channels = sweep_channels(mpo, qsite)
     if psi.layouts is None:
         psi.layouts = [None] * (L - 1)
     # per bond: the last TwoSiteHeff built there, here or by the solve
     # psi0 came from; an inherited one fits while its channels carry the
-    # same charges (zero couplings drop channels, see sweep_channels)
+    # same charges (zero couplings drop channels, see build_mpo)
     layouts = psi.layouts
     for i, heff in enumerate(layouts):
         if heff is not None and np.array_equal(heff.dk, channels[i][2]):

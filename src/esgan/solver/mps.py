@@ -347,7 +347,7 @@ def to_dense(mps):
     return psi[:, 0]
 
 
-def check_charge_consistency(mps, atol=0.0):
+def check_charge_consistency(mps):
     """Largest absolute weight found on a charge-forbidden entry (0.0 when
     the bookkeeping is exact)."""
     qsite = mps.spec.site_charge_array()

@@ -93,3 +93,42 @@ def apply_h_eff_dense(theta, EL, W1, W2, ER, mask):
     X = np.tensordot(X, W2, axes=([4, 1], [0, 2]))  # (a, br, s1', s2', u)
     X = np.tensordot(X, ER, axes=([1, 4], [2, 1]))  # (a, s1', s2', ar)
     return X * mask
+
+
+def mpo_charges(mpo, qsite):
+    """Charge of every MPO state, one (D_b, n_charges) array per MPO bond,
+    inferred from the nonzero pattern alone.
+
+    W[w, s_out, s_in, v] may be nonzero only where
+    c_b[w] + q[s_out] - q[s_in] == c_{b+1}[v].  The charges follow left to
+    right from the charge-0 boundary state; a state no nonzero entry from a
+    reached state reaches keeps charge 0.
+    """
+    charges = [np.zeros((1, qsite.shape[1]), dtype=np.int64)]
+    reached = np.ones(1, dtype=bool)
+    for W in mpo:
+        w, s_out, s_in, v = np.nonzero(W)
+        live = reached[w]
+        w, s_out, s_in, v = w[live], s_out[live], s_in[live], v[live]
+        step = charges[-1][w] + qsite[s_out] - qsite[s_in]
+        c = np.zeros((W.shape[3], qsite.shape[1]), dtype=np.int64)
+        c[v] = step
+        if not np.array_equal(c[v], step):
+            raise ValueError("MPO does not conserve the charges")
+        charges.append(c)
+        reached = np.zeros(W.shape[3], dtype=bool)
+        reached[v] = True
+    return charges
+
+
+def mpo_channels(mpo, qsite):
+    """Per MPO bond, (live, charges): the states both neighbouring tensors
+    reach, ordered by charge tuple (then state), and their charges."""
+    c = mpo_charges(mpo, qsite)
+    out = []
+    for i in range(len(mpo) - 1):
+        live = np.flatnonzero(np.any(mpo[i], axis=(0, 1, 2)) & np.any(mpo[i + 1], axis=(1, 2, 3)))
+        q = c[i + 1][live]
+        order = np.lexsort(q.T[::-1])  # stable, first charge first
+        out.append((live[order], q[order]))
+    return out

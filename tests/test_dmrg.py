@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from esgan.models import ConfigError, build_model
+from esgan.models import ConfigError, Term, build_model
 from esgan.solver import (
     ConvergenceWarning,
     DmrgConfig,
@@ -33,17 +33,16 @@ from esgan.solver.dmrg import (
     TwoSiteHeff,
     _contract_left,
     _contract_right,
-    bond_channels,
     build_mpo,
     N_DENSE,
     local_ground_state,
-    mpo_charges,
-    sweep_channels,
 )
 
 from oracles import (
     allowed_mask_two_site,
     apply_h_eff_dense,
+    mpo_channels,
+    mpo_charges,
     xx_entropy_profile,
     xx_ground_energy,
 )
@@ -211,10 +210,9 @@ def test_blocked_h_eff_matches_dense_oracle(model_id):
     # random two-site problems whose environments and block respect the
     # charges; bh2s has two charges, so its keys stand for tuples
     spec = build_model(model_id, L=4, control=0.7)
-    mpo = build_mpo(spec)
+    mpo, channels = build_mpo(spec)
     qsite = spec.site_charge_array()
     c = mpo_charges(mpo, qsite)
-    channels = bond_channels(mpo[1], mpo[2], c[2])
     rng = np.random.default_rng(17)
     for _ in range(3):
         qL = rng.integers(0, 3, size=(5, spec.n_charges))
@@ -230,7 +228,7 @@ def test_blocked_h_eff_matches_dense_oracle(model_id):
         dense = apply_h_eff_dense(theta, EL, mpo[1], mpo[2], ER, np.ones_like(mask))
         # consistent charges keep H_eff inside the allowed entries
         assert np.abs(dense[~mask]).max(initial=0.0) < 1e-12
-        y = TwoSiteHeff(blocks, channels).load(EL, ER).matvec(blocks.gather(theta))
+        y = TwoSiteHeff(blocks, channels[1]).load(EL, ER).matvec(blocks.gather(theta))
         ref = blocks.gather(apply_h_eff_dense(theta, EL, mpo[1], mpo[2], ER, mask))
         assert np.abs(y - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
@@ -311,8 +309,8 @@ def test_truncation_cycle_converges_on_sweep_energies():
 
 
 def test_inherited_layouts_give_bit_identical_states():
-    # XXZ at delta = 0 has no zz channel (bond_channels drops zero
-    # couplings), so the chain into and out of it must rebuild every layout
+    # XXZ at delta = 0 has no zz channel (build_mpo drops zero couplings),
+    # so the chain into and out of it must rebuild every layout
     # it inherits; away from it, bonds whose charges stay keep theirs
     cfg = DmrgConfig(chi_max=64, seed=2)
     psi = dmrg_ground_state(build_model("xxz", 8, -0.2), cfg)
@@ -430,26 +428,48 @@ def test_stacked_block_svd_equals_per_block_svd():
 def test_energy_from_sweep_environments_matches_full_contraction(model_id, L, control, cfg):
     spec = build_model(model_id, L, control)
     psi = dmrg_ground_state(spec, DmrgConfig(seed=6, **cfg))
-    ref = expectation_value(psi, build_mpo(spec))
+    ref = expectation_value(psi, build_mpo(spec)[0])
     assert abs(psi.energy - ref) <= 1e-12 * abs(ref)
 
 
-def test_channels_are_planned_once_per_mpo_pattern():
-    # a chain shares one plan; XXZ at delta = 0 drops its zz channel, so its
-    # pattern, and its plan, differ from delta = -0.5's
-    def plan(control):
-        spec = build_model("xxz", 6, control)
-        mpo = build_mpo(spec)
-        return mpo, sweep_channels(mpo, spec.site_charge_array())
+@pytest.mark.parametrize(
+    "model_id, control, n_bulk",
+    [("xxz", -0.5, 5), ("xxz", 0.0, 4), ("bh", 2.0, 4), ("bh", 0.0, 4), ("bh2s", 0.5, 6)],
+    ids=["xxz", "xxz-delta0", "bh", "bh-u0", "bh2s"],
+)
+def test_mpo_channels_match_pattern_oracle(model_id, control, n_bulk):
+    # build_mpo's channels are the states the nonzero pattern reaches, with
+    # the charges it implies; XXZ at delta = 0 has no zz channel
+    spec = build_model(model_id, 6, control)
+    mpo, channels = build_mpo(spec)
+    qsite = spec.site_charge_array()
+    c = mpo_charges(mpo, qsite)
+    ref = mpo_channels(mpo, qsite)
+    assert len(channels) == len(ref) == spec.L - 1
+    for i, ((W1, W2, keys), (live, q)) in enumerate(zip(channels, ref)):
+        assert np.array_equal(keys, charge_keys(q))
+        assert np.array_equal(W1, mpo[i][..., live]) and np.array_equal(W2, mpo[i + 1][live])
+    assert [ch[2].size for ch in channels[1:-1]] == [n_bulk] * (spec.L - 3)
+    for i, W in enumerate(mpo):
+        w, s_out, s_in, v = np.nonzero(W)
+        assert np.array_equal(c[i][w] + qsite[s_out] - qsite[s_in], c[i + 1][v])
 
-    for control in (-0.5, 0.0):
-        mpo, got = plan(control)
-        c = mpo_charges(mpo, build_model("xxz", 6, control).site_charge_array())
-        for i, (W1, W2, keys) in enumerate(got):
-            ref = bond_channels(mpo[i], mpo[i + 1], c[i + 1])
-            assert all(np.array_equal(a, b) for a, b in zip((W1, W2, keys), ref))
-    assert plan(-0.5)[1][2][2] is plan(-0.3)[1][2][2]
-    assert plan(0.0)[1][2][2].size < plan(-0.5)[1][2][2].size
+
+@pytest.mark.parametrize(
+    "term, conserved",
+    [(Term((0,), ("Sp",), 0.5), False), (Term((2, 3), ("Sp", "Sp"), 0.5), False),
+     (Term((3,), ("Sz",), 0.5), True)],
+    ids=["onsite-Sp", "bond-SpSp", "onsite-Sz"],
+)
+def test_mpo_rejects_terms_that_break_the_charges(term, conserved):
+    base = build_model("xxz", 6, -0.5)
+    spec = dataclasses.replace(base, terms=base.terms + (term,))
+    if not conserved:
+        with pytest.raises(ValueError, match="conserve"):
+            dmrg_ground_state(spec, DmrgConfig(seed=1))
+        return
+    psi = dmrg_ground_state(spec, DmrgConfig(seed=1))
+    assert abs(psi.energy - ed_ground_state(spec)[0]) < 1e-9
 
 
 def _bond_problem(model_id, L, bond, chi_max):
@@ -457,15 +477,14 @@ def _bond_problem(model_id, L, bond, chi_max):
     environments and MPO: symmetric, like every problem a sweep solves."""
     spec = build_model(model_id, L, 0.7)
     psi = dmrg_ground_state(spec, DmrgConfig(chi_max=chi_max, seed=5))
-    mpo = build_mpo(spec)
+    mpo, channels = build_mpo(spec)
     EL, ER = np.ones((1, 1, 1)), np.ones((1, 1, 1))
     for j in range(bond):
         EL = _contract_left(EL, psi.site_tensors[j], mpo[j])
     for j in range(L - 1, bond + 1, -1):
         ER = _contract_right(ER, psi.site_tensors[j], mpo[j])
     blocks = TwoSiteBlocks(psi.bond_charges[bond], spec.site_charge_array(), psi.bond_charges[bond + 2])
-    channels = sweep_channels(mpo, spec.site_charge_array())[bond]
-    return TwoSiteHeff(blocks, channels).load(EL, ER), EL, ER, mpo, spec
+    return TwoSiteHeff(blocks, channels[bond]).load(EL, ER), EL, ER, mpo, spec
 
 
 @pytest.mark.parametrize("model_id, L, bond", [("xxz", 8, 2), ("bh", 4, 1), ("bh2s", 4, 0)])
