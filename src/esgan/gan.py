@@ -108,24 +108,11 @@ def build_gan(n_feat=64, seed=0, skip=True):
 
 
 def reconstruct(model, x):
-    """x̂ = g(f(x)); FeatureVector in, FeatureVector out (arrays pass
-    through as arrays)."""
-    gen = model.generator
-    if isinstance(x, FeatureVector):
-        if x.values.shape[-1] != model.n_feat:
-            raise ShapeError(
-                f"feature width {x.values.shape[-1]} != model {model.n_feat}"
-            )
-        return FeatureVector(
-            values=gen.forward(x.values, cache=False),
-            control_value=x.control_value,
-            L=x.L,
-            model_id=x.model_id,
-        )
+    """x̂ = g(f(x)) of a feature array, one row per sample or a single one."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.n_feat:
         raise ShapeError(f"feature width {x.shape[-1]} != model {model.n_feat}")
-    return gen.forward(x, cache=False)
+    return model.generator.forward(x, cache=False)
 
 
 def rec_loss(x, xhat):

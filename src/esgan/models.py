@@ -115,66 +115,64 @@ class HamiltonianSpec:
         )
 
 
-def _boson_ops(n_max):
-    dim = n_max + 1
-    b = np.zeros((dim, dim))
-    for n in range(1, dim):
-        b[n - 1, n] = np.sqrt(n)
+def _operator_table(spec):
+    """Label -> dense matrix of every on-site operator of ``spec``'s model.
+
+    XXZ basis: index 0 = down, 1 = up.  Boson basis: index = occupation.
+    Two-species basis: index = n_a * (n_max + 1) + n_b, so a species-a
+    operator is kron(op, eye) and a species-b one kron(eye, op).
+    """
+    if spec.model_id == "xxz":
+        return {
+            "Sp": np.array([[0.0, 0.0], [1.0, 0.0]]),
+            "Sm": np.array([[0.0, 1.0], [0.0, 0.0]]),
+            "Sz": np.diag([-0.5, 0.5]),
+        }
+    if spec.model_id not in ("bh", "bh2s"):
+        return {}
+    dim = spec.params.n_max + 1
+    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     occ = np.diag(np.arange(dim, dtype=float))
-    return b, b.T.copy(), occ
+    eye = np.eye(dim)
+    single = {"b": b, "bdag": b.T.copy(), "n": occ, "nn1": occ @ (occ - eye)}
+    if spec.model_id == "bh":
+        return single
+    table = {"n_a.n_b": np.kron(occ, occ)}
+    for label, op in single.items():
+        table[label + "_a"] = np.kron(op, eye)
+        table[label + "_b"] = np.kron(eye, op)
+    return table
+
+
+def _lookup(table, spec, label):
+    if label not in table:
+        raise KeyError(f"unknown operator {label!r} for model {spec.model_id!r}")
+    return table[label]
 
 
 def operator_matrix(spec, label):
-    """Dense matrix of a labeled on-site operator in the model's local basis.
-
-    XXZ basis: index 0 = down, 1 = up.  Boson basis: index = occupation.
-    Two-species basis: index = n_a * (n_max + 1) + n_b.
-    """
-    if spec.model_id == "xxz":
-        if label == "Sp":
-            return np.array([[0.0, 0.0], [1.0, 0.0]])
-        if label == "Sm":
-            return np.array([[0.0, 1.0], [0.0, 0.0]])
-        if label == "Sz":
-            return np.diag([-0.5, 0.5])
-    elif spec.model_id == "bh":
-        n_max = spec.params.n_max
-        b, bdag, occ = _boson_ops(n_max)
-        if label == "b":
-            return b
-        if label == "bdag":
-            return bdag
-        if label == "n":
-            return occ
-        if label == "nn1":
-            return occ @ (occ - np.eye(n_max + 1))
-    elif spec.model_id == "bh2s":
-        n_max = spec.params.n_max
-        b, bdag, occ = _boson_ops(n_max)
-        eye = np.eye(n_max + 1)
-        single = {"b": b, "bdag": bdag, "n": occ, "nn1": occ @ (occ - eye)}
-        if label.endswith("_a") and label[:-2] in single:
-            return np.kron(single[label[:-2]], eye)
-        if label.endswith("_b") and label[:-2] in single:
-            return np.kron(eye, single[label[:-2]])
-        if label == "n_a.n_b":
-            return np.kron(occ, occ)
-    raise KeyError(f"unknown operator {label!r} for model {spec.model_id!r}")
+    """Dense matrix of a labeled on-site operator in the model's local basis
+    (see :func:`_operator_table` for the basis order)."""
+    return _lookup(_operator_table(spec), spec, label)
 
 
 def expanded_terms(spec):
     """Terms with Hermitian conjugates made explicit.
 
     Returns a list of (sites, matrices, coeff) with one dense matrix per
-    site.  Conjugates of real operators are plain transposes taken in
-    place, so a stored hop b+_{j+1} b_j also contributes b_{j+1} b+_j.
+    site.  Conjugates of real operators are plain transposes, so a stored
+    hop b+_{j+1} b_j also contributes b_{j+1} b+_j.  Each label resolves
+    once per call: terms share their matrices, which callers must not
+    modify.
     """
+    table = _operator_table(spec)
+    transposed = {label: m.T.copy() for label, m in table.items()}
     out = []
     for term in spec.terms:
-        mats = tuple(operator_matrix(spec, op) for op in term.ops)
+        mats = tuple(_lookup(table, spec, op) for op in term.ops)
         out.append((term.sites, mats, term.coeff))
         if term.add_hc:
-            out.append((term.sites, tuple(m.T.copy() for m in mats), term.coeff))
+            out.append((term.sites, tuple(transposed[op] for op in term.ops), term.coeff))
     return out
 
 

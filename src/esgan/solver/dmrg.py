@@ -434,8 +434,7 @@ def select_cut(s, chi_max, cutoff):
         nk = n_keep
     keep = np.zeros(n, dtype=bool)
     keep[order[:nk]] = True
-    kept_weight = float((ss[:nk] ** 2).sum())
-    return keep, 1.0 - kept_weight / total
+    return keep, float((ss[nk:] ** 2).sum()) / total
 
 
 def local_ground_state(heff, x, max_restarts):
@@ -526,11 +525,12 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     those that still fit; one of another length, local basis or sector
     raises ValueError.  The returned state carries the variational energy
     <H> of the final state, read off the last half-sweep's environments
-    (see the module docstring), the accumulated truncated weight,
-    per-sweep energies, a ``converged`` flag and ``stats``: matvecs,
-    sweeps, layouts built, and the bond updates solved densely
-    (``dense_solves``) and by Lanczos (``lanczos_solves``), which sum to
-    all bond updates (see the module docstring);
+    (see the module docstring), as ``truncation_error`` the largest
+    weight fraction that one split of the final sweep discarded (0.0 when
+    that sweep kept every value), per-sweep energies, a ``converged`` flag
+    and ``stats``: matvecs, sweeps, layouts built, and the bond updates
+    solved densely (``dense_solves``) and by Lanczos (``lanczos_solves``),
+    which sum to all bond updates (see the module docstring);
     non-convergence also raises a ConvergenceWarning but still returns
     the state.
     """
@@ -564,7 +564,6 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     ER[L] = np.ones((1, 1, 1))
     for j in range(L - 1, 0, -1):
         ER[j] = _contract_right(ER[j + 1], psi.site_tensors[j], mpo[j])
-    total_discard = 0.0
     n_matvec = n_dense = n_lanczos = 0
     sweep_energy_prev = None
     converged = False
@@ -573,6 +572,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
         chi = min(WARMUP_CHI, config.chi_max) if warmup else config.chi_max
         max_restarts = 2 if warmup else 12
         energy = None
+        max_discard = 0.0
         p_mid = {}
         for direction in ("right", "left"):
             bonds = range(L - 1) if direction == "right" else range(L - 2, -1, -1)
@@ -602,7 +602,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 U3, s, Vt3, q_new, discarded = split_two_site(
                     blocks, vec, chi, config.svd_cutoff
                 )
-                total_discard += discarded
+                max_discard = max(max_discard, discarded)
                 psi.bond_charges[i + 1] = q_new
                 if i == L // 2 - 1:
                     p_mid[direction] = np.sort(s**2)
@@ -642,7 +642,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 break
             sweep_energy_prev = energy
     psi.converged = converged
-    psi.truncation_error = total_discard
+    psi.truncation_error = max_discard
     psi.seed = config.seed
     # <H> from the last half-sweep's environments: sites 1..L-1 are right
     # isometries, so site 0 against ER[1] gives <psi|H|psi>

@@ -28,6 +28,7 @@ from esgan.solver.mps import (
     mps_norm,
     to_dense,
 )
+from esgan.solver import dmrg
 from esgan.solver.dmrg import (
     TwoSiteBlocks,
     TwoSiteHeff,
@@ -145,6 +146,27 @@ def test_bond_dimension_capped_and_charges_clean():
             B = T.reshape(chi_l, d * chi_r)
             assert np.allclose(B @ B.T, np.eye(chi_l), atol=1e-12)
     assert psi.canonical_center == center  # original untouched
+
+
+def test_truncation_error_is_the_final_sweeps_largest_discard(monkeypatch):
+    split = dmrg.split_two_site
+    discards = []
+
+    def recording_split(*args):
+        out = split(*args)
+        discards.append(out[4])
+        return out
+
+    monkeypatch.setattr(dmrg, "split_two_site", recording_split)
+    psi = dmrg_ground_state(build_model("bh", 8, 3.3), DmrgConfig(chi_max=8, seed=3))
+    assert psi.converged and len(discards) == 14 * psi.stats["sweeps"]
+    last_sweep = discards[-14:]
+    assert psi.truncation_error == max(last_sweep) > 0.0
+    assert psi.truncation_error < sum(discards)
+    # nothing is cut on an untruncated chain, so not even rounding shows
+    discards.clear()
+    psi = dmrg_ground_state(build_model("xxz", 8, -0.5), DmrgConfig(svd_cutoff=0.0))
+    assert psi.truncation_error == 0.0 and max(discards[-14:]) == 0.0
 
 
 def test_deterministic_given_seed():

@@ -1,17 +1,76 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from esgan import models
 from esgan.models import (
     Bh2sParams,
     BhParams,
+    Term,
     XxzParams,
     build_bh,
     build_bh2s,
+    build_model,
     build_xxz,
     expanded_terms,
     initial_product_configuration,
     operator_matrix,
 )
+from esgan.solver import dmrg, ed
+from esgan.solver.dmrg import build_mpo
+from esgan.solver.ed import build_sector_hamiltonian
+
+LABELS = {
+    "xxz": ("Sp", "Sm", "Sz"),
+    "bh": ("b", "bdag", "n", "nn1"),
+    "bh2s": tuple(f"{op}_{s}" for op in ("b", "bdag", "n", "nn1") for s in "ab") + ("n_a.n_b",),
+}
+
+
+def reference_operator(spec, label):
+    """<out|op|in> entry by entry from the operator's definition, in the
+    local basis operator_matrix documents."""
+    if spec.model_id == "xxz":
+        return {
+            "Sp": np.array([[0.0, 0.0], [1.0, 0.0]]),
+            "Sm": np.array([[0.0, 1.0], [0.0, 0.0]]),
+            "Sz": np.array([[-0.5, 0.0], [0.0, 0.5]]),
+        }[label]
+    dim = spec.params.n_max + 1
+
+    def boson(op, n_out, n_in):
+        return {
+            "b": np.sqrt(n_in) if n_out == n_in - 1 else 0.0,
+            "bdag": np.sqrt(n_out) if n_out == n_in + 1 else 0.0,
+            "n": float(n_in) if n_out == n_in else 0.0,
+            "nn1": float(n_in * (n_in - 1)) if n_out == n_in else 0.0,
+        }[op]
+
+    if spec.model_id == "bh":
+        return np.array([[boson(label, o, i) for i in range(dim)] for o in range(dim)])
+    # two species: index n_a * dim + n_b
+    states = [(n_a, n_b) for n_a in range(dim) for n_b in range(dim)]
+
+    def entry(out, inn):
+        if label == "n_a.n_b":
+            return float(inn[0] * inn[1]) if out == inn else 0.0
+        op, species = label.rsplit("_", 1)
+        k = "ab".index(species)
+        return boson(op, out[k], inn[k]) if out[1 - k] == inn[1 - k] else 0.0
+
+    return np.array([[entry(o, i) for i in states] for o in states])
+
+
+def label_by_label_terms(spec):
+    """expanded_terms building every term's matrices on its own."""
+    out = []
+    for term in spec.terms:
+        mats = tuple(reference_operator(spec, op) for op in term.ops)
+        out.append((term.sites, mats, term.coeff))
+        if term.add_hc:
+            out.append((term.sites, tuple(m.T.copy() for m in mats), term.coeff))
+    return out
 
 
 def dense_hamiltonian(spec):
@@ -144,3 +203,72 @@ def test_bh2s_charge_labels():
     assert tuple(charges[8]) == (2, 2)
     n_ab = operator_matrix(spec, "n_a.n_b")
     np.testing.assert_allclose(np.diag(n_ab), charges[:, 0] * charges[:, 1])
+
+
+@pytest.mark.parametrize("model_id, n_max", [("xxz", None), ("bh", 2), ("bh", 4), ("bh2s", 2), ("bh2s", 3)])
+def test_operator_matrix_equals_entrywise_reference(model_id, n_max):
+    spec = build_model(model_id, 2, 0.5, n_max)
+    for label in LABELS[model_id]:
+        M, ref = operator_matrix(spec, label), reference_operator(spec, label)
+        assert M.dtype == ref.dtype and M.shape == ref.shape == (spec.local_dim,) * 2
+        assert M.tobytes() == ref.tobytes(), label
+
+
+@pytest.mark.parametrize("model_id, label", [("xxz", "Sx"), ("bh", "b_a"), ("bh2s", "b"), ("bh2s", "n_c")])
+def test_unknown_operator_label_names_label_and_model(model_id, label):
+    spec = build_model(model_id, 2, 0.5)
+    message = f"unknown operator {label!r} for model {model_id!r}"
+    with pytest.raises(KeyError, match=message):
+        operator_matrix(spec, label)
+    bad = dataclasses.replace(spec, terms=spec.terms + (Term((0,), (label,), 1.0),))
+    with pytest.raises(KeyError, match=message):
+        expanded_terms(bad)
+
+
+def test_expanded_terms_builds_one_operator_table(monkeypatch):
+    calls = {"table": 0, "operator_matrix": 0}
+    table, single = models._operator_table, models.operator_matrix
+
+    def counting_table(spec):
+        calls["table"] += 1
+        return table(spec)
+
+    def counting_single(spec, label):
+        calls["operator_matrix"] += 1
+        return single(spec, label)
+
+    monkeypatch.setattr(models, "_operator_table", counting_table)
+    monkeypatch.setattr(models, "operator_matrix", counting_single)
+    spec = build_xxz(8, XxzParams(delta=-0.5))
+    terms = expanded_terms(spec)
+    assert calls == {"table": 1, "operator_matrix": 0}
+    # Sp, Sm, Sz and the transposes of the two hopping factors
+    assert len(terms) == 21
+    assert len({id(m) for _, mats, _ in terms for m in mats}) == 5
+
+
+@pytest.mark.parametrize(
+    "model_id, L, control, n_max",
+    [("xxz", 6, 0.0, None), ("xxz", 6, -0.5, None), ("bh", 5, 3.3, 2), ("bh", 4, 2.0, 4),
+     ("bh2s", 4, -0.2, 2)],
+)
+def test_mpo_and_ed_equal_label_by_label_reference(monkeypatch, model_id, L, control, n_max):
+    spec = build_model(model_id, L, control, n_max)
+    terms = expanded_terms(spec)
+    before = [m.copy() for _, mats, _ in terms for m in mats]
+    monkeypatch.setattr(dmrg, "expanded_terms", lambda s: terms)
+    monkeypatch.setattr(ed, "expanded_terms", lambda s: terms)
+    mpo, channels = build_mpo(spec)
+    H = build_sector_hamiltonian(spec)
+    # terms share their matrices, so neither consumer may write into one
+    after = [m for _, mats, _ in terms for m in mats]
+    assert [m.tobytes() for m in after] == [m.tobytes() for m in before]
+    monkeypatch.setattr(dmrg, "expanded_terms", label_by_label_terms)
+    monkeypatch.setattr(ed, "expanded_terms", label_by_label_terms)
+    ref_mpo, ref_channels = build_mpo(spec)
+    ref_H = build_sector_hamiltonian(spec)
+    assert [(W.shape, W.tobytes()) for W in mpo] == [(W.shape, W.tobytes()) for W in ref_mpo]
+    flat = [(a.shape, a.tobytes()) for ch in channels for a in ch]
+    assert flat == [(a.shape, a.tobytes()) for ch in ref_channels for a in ch]
+    for part in ("data", "indices", "indptr"):
+        assert getattr(H, part).tobytes() == getattr(ref_H, part).tobytes()
