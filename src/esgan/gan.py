@@ -415,29 +415,45 @@ def save_detector(path, det):
 
 
 def load_detector(path):
+    """The detector saved at ``path``; a missing meta key or array, or an
+    array of the wrong shape, raises ValueError naming the path and key."""
     meta, arrays = load_checkpoint(path)
     if meta.get("detector_version") != DETECTOR_VERSION:
         raise ValueError(f"{path}: unsupported detector checkpoint")
-    model = build_gan(
-        n_feat=meta["n_feat"], seed=meta["seed"], skip=meta["skip"]
-    )
-    for name, p in model.generator.parameters().items():
-        p[...] = arrays[f"G.{name}"]
-    for name, p in model.discriminator.parameters().items():
-        p[...] = arrays[f"D.{name}"]
-    model.trained_flag = meta["trained_flag"]
-    cfg = None
-    if "cfg.seed" in meta:
-        cfg = TrainConfig(**{f.name: meta[f"cfg.{f.name}"] for f in fields(TrainConfig)})
-    sequence = _sequence_from_meta(meta) if "seq.n" in meta else None
-    return TrainedDetector(
-        model=model,
-        mean_train_loss=meta["mean_train_loss"],
-        sequence=sequence,
-        train_window=(meta["train_window_lo"], meta["train_window_hi"]),
-        val_window=(meta["val_window_lo"], meta["val_window_hi"]),
-        converged=meta["converged"],
-        config=cfg,
-        model_id=meta.get("model_id"),
-        L=meta.get("L"),
-    )
+
+    def load_weights(prefix, params):
+        for name, p in params.items():
+            key = prefix + name
+            if key not in arrays:
+                raise ValueError(f"{path}: checkpoint lacks array {key!r}")
+            if arrays[key].shape != p.shape:
+                raise ValueError(
+                    f"{path}: array {key!r} has shape {arrays[key].shape}, "
+                    f"the network needs {p.shape}"
+                )
+            p[...] = arrays[key]
+
+    try:
+        model = build_gan(
+            n_feat=meta["n_feat"], seed=meta["seed"], skip=meta["skip"]
+        )
+        load_weights("G.", model.generator.parameters())
+        load_weights("D.", model.discriminator.parameters())
+        model.trained_flag = meta["trained_flag"]
+        cfg = None
+        if "cfg.seed" in meta:
+            cfg = TrainConfig(**{f.name: meta[f"cfg.{f.name}"] for f in fields(TrainConfig)})
+        sequence = _sequence_from_meta(meta) if "seq.n" in meta else None
+        return TrainedDetector(
+            model=model,
+            mean_train_loss=meta["mean_train_loss"],
+            sequence=sequence,
+            train_window=(meta["train_window_lo"], meta["train_window_hi"]),
+            val_window=(meta["val_window_lo"], meta["val_window_hi"]),
+            converged=meta["converged"],
+            config=cfg,
+            model_id=meta.get("model_id"),
+            L=meta.get("L"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks meta key {exc.args[0]!r}") from None

@@ -241,7 +241,11 @@ def read_dataset(path):
     while i < len(lines) and lines[i] != "[record]":
         key, _, val = lines[i].partition(" ")
         if key in _HEADER_FIELDS:
+            if key in head:
+                raise ValueError(f"{path}:{i + 1}: repeated header field {key}")
             head[key] = parse(i, _HEADER_FIELDS[key], val, key)
+            if key == "format_version" and head[key] != 1:
+                raise ValueError(f"{path}:{i + 1}: unsupported format_version {val}")
         i += 1
     missing = [key for key in _HEADER_FIELDS if key not in head]
     if missing:

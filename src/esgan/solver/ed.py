@@ -6,6 +6,7 @@ Configurations are encoded as mixed-radix int64 keys for O(log n) lookup
 when scattering Hamiltonian matrix elements.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,45 +90,26 @@ def build_sector_hamiltonian(spec, basis=None):
     rows, cols, vals = [], [], []
     src = np.arange(n)
     for sites, mats, coeff in expanded_terms(spec):
-        if len(sites) == 1:
-            (j,) = sites
-            (O,) = mats
-            for a, b in zip(*np.nonzero(O)):
-                mask = basis[:, j] == b
-                if not np.any(mask):
-                    continue
-                amp = coeff * O[a, b]
-                if a == b:
-                    idx = src[mask]
-                    rows.append(idx)
-                    cols.append(idx)
-                else:
-                    new = basis[mask].copy()
-                    new[:, j] = a
-                    rows.append(lookup(new))
-                    cols.append(src[mask])
-                vals.append(np.full(int(mask.sum()), amp))
-        else:
-            j1, j2 = sites
-            O1, O2 = mats
-            for a1, b1 in zip(*np.nonzero(O1)):
-                m1 = basis[:, j1] == b1
-                for a2, b2 in zip(*np.nonzero(O2)):
-                    mask = m1 & (basis[:, j2] == b2)
-                    if not np.any(mask):
-                        continue
-                    amp = coeff * O1[a1, b1] * O2[a2, b2]
-                    if a1 == b1 and a2 == b2:
-                        idx = src[mask]
-                        rows.append(idx)
-                        cols.append(idx)
-                    else:
-                        new = basis[mask].copy()
-                        new[:, j1] = a1
-                        new[:, j2] = a2
-                        rows.append(lookup(new))
-                        cols.append(src[mask])
-                    vals.append(np.full(int(mask.sum()), amp))
+        local = basis[:, sites]
+        # one nonzero entry (a, b) per operator, the last operator innermost
+        for entries in itertools.product(*(zip(*np.nonzero(O)) for O in mats)):
+            a, b = zip(*entries)
+            mask = (local == b).all(axis=1)
+            if not mask.any():
+                continue
+            amp = coeff
+            for O, ab in zip(mats, entries):
+                amp = amp * O[ab]
+            if a == b:
+                idx = src[mask]
+                rows.append(idx)
+                cols.append(idx)
+            else:
+                new = basis[mask]
+                new[:, sites] = a
+                rows.append(lookup(new))
+                cols.append(src[mask])
+            vals.append(np.full(int(mask.sum()), amp))
     H = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),

@@ -3,8 +3,9 @@
 schmidt_decompose takes an exact StateVector or an MPSState and returns
 the LabeledSpectrum of the requested bipartition.  For an MPS the Schmidt
 values fall out of moving the canonical center; for a dense state the
-amplitude matrix is cut at the bond and SVDed one left-charge block at a
-time (charge conservation makes it block diagonal).
+amplitude matrix is cut at the bond and laid out as the solver's
+ChargeBlocks (charge conservation makes it block diagonal), whose block
+SVD gives the levels.
 """
 
 import numpy as np
@@ -12,33 +13,29 @@ import numpy as np
 from ..models import control_value
 from ..spectra import make_labeled_spectrum
 from .ed import StateVector
-from .mps import MPSState, schmidt_values
+from .mps import ChargeBlocks, MPSState, schmidt_values
 
 
 def _statevector_schmidt(state, bond):
-    """(p, left charges) of a dense sector state cut after site ``bond``."""
-    from scipy.linalg import svd  # local: sweeps and detection run without scipy
+    """(p, left charges) of a dense sector state cut after site ``bond``.
 
-    spec = state.spec
+    Rows of the amplitude matrix carry the left-block charge, columns the
+    target sector minus the right-block charge, so its charge blocks are
+    the ChargeBlocks of those labels.
+    """
     basis = state.basis
     left, left_inv = np.unique(basis[:, :bond], axis=0, return_inverse=True)
     right, right_inv = np.unique(basis[:, bond:], axis=0, return_inverse=True)
     M = np.zeros((left.shape[0], right.shape[0]))
     M[left_inv, right_inv] = state.amplitudes
-    qsite = spec.site_charge_array()
-    left_q = qsite[left].sum(axis=1)
-    p_out, q_out = [], []
-    for q in np.unique(left_q, axis=0):
-        rows = np.nonzero(np.all(left_q == q, axis=1))[0]
-        sub = M[rows]
-        cols = np.nonzero(np.any(sub != 0.0, axis=0))[0]
-        if cols.size == 0:
-            continue
-        s = svd(sub[:, cols], compute_uv=False)
-        s = s[s > 0.0]
-        p_out.append(s**2)
-        q_out.append(np.repeat(q[None, :], s.size, axis=0))
-    return np.concatenate(p_out), np.concatenate(q_out)
+    qsite = state.spec.site_charge_array()
+    target = np.asarray(state.spec.target_sector)
+    blocks = ChargeBlocks(qsite[left].sum(axis=1), target - qsite[right].sum(axis=1))
+    s = [sv[1] for sv in blocks.svd(blocks.gather(M))]
+    charges = np.repeat(blocks.charges, [sb.size for sb in s], axis=0)
+    s = np.concatenate(s)
+    keep = s > 0.0
+    return s[keep] ** 2, charges[keep]
 
 
 def schmidt_decompose(state, bond=None):

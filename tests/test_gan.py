@@ -1,6 +1,8 @@
 """Adversarial training protocol: losses, window handling, training
 behavior on synthetic spectra, checkpointing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from esgan.gan import (
     split_windows,
     train,
 )
-from esgan.neuralnet import OptimizerState, adam_step
+from esgan.neuralnet import OptimizerState, adam_step, load_checkpoint, save_checkpoint
 from esgan.spectra import FeatureVector
 
 
@@ -314,6 +316,30 @@ def test_detector_checkpoint_round_trip(tmp_path):
     save_detector(path2, det2)
     with open(path, "rb") as f1, open(path2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda meta, arrays: meta.pop("mean_train_loss"),
+         "checkpoint lacks meta key 'mean_train_loss'"),
+        (lambda meta, arrays: arrays.pop("G.enc1.b"),
+         "checkpoint lacks array 'G.enc1.b'"),
+        (lambda meta, arrays: arrays.update({"D.0.b": np.zeros(3)}),
+         r"array 'D.0.b' has shape \(3,\), the network needs \(8,\)"),
+    ],
+    ids=["meta-key", "array", "array-shape"],
+)
+def test_load_detector_names_path_and_key(tmp_path, damage, message):
+    det = train(synthetic_features(n=24, width=8), quick_config(epochs_max=2),
+                (-0.5, 0.0), (-1.0, -0.5))
+    path = str(tmp_path / "det.ckpt")
+    save_detector(path, det)
+    meta, arrays = load_checkpoint(path)
+    damage(meta, arrays)
+    save_checkpoint(path, meta, arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: {message}$"):
+        load_detector(path)
 
 
 def test_loaded_weights_are_views_that_adam_moves(tmp_path):

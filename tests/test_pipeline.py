@@ -144,6 +144,8 @@ def _two_record_file(tmp_path):
         (None, (21, "entry 2 0 0xzz"), 22),  # probability garbled
         (None, (3, "L four"), 4),  # header value garbled
         (None, (17, "record"), 18),  # record marker garbled
+        (None, (1, "format_version 7"), 2),  # unknown format version
+        (None, (6, "chi_max 16\nchi_max 8"), 8),  # a second chi_max line
     ],
 )
 def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
@@ -971,6 +973,22 @@ def _readme_commands():
         for cmd in block.replace("\\\n", " ").splitlines()
         if cmd.startswith("esgan ")
     ]
+
+
+def test_readme_names_every_cli_flag():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    flags = {
+        flag
+        for sub in cli.build_parser().commands.values()
+        for action in sub._actions
+        if action.dest != "help"
+        for flag in action.option_strings
+    }
+    # a flag must not count as named inside a longer one (--max, --max-sweeps)
+    missing = [f for f in flags if not re.search(rf"{re.escape(f)}(?![\w-])", text)]
+    assert sorted(missing) == []
 
 
 def test_readme_command_lines_parse(tmp_path, monkeypatch):

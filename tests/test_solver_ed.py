@@ -1,10 +1,16 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from esgan.models import Bh2sParams, BhParams, XxzParams, build_bh, build_bh2s, build_xxz
+from esgan.models import (
+    Bh2sParams, BhParams, XxzParams, build_bh, build_bh2s, build_xxz, expanded_terms,
+)
 from esgan.solver.ed import build_sector_hamiltonian, ed_ground_state, sector_basis
 from esgan.solver.lanczos import DGKS_ETA, lowest_eigenpair
+from esgan.solver.schmidt import _statevector_schmidt
 
 from oracles import xx_ground_energy
 
@@ -32,6 +38,85 @@ def test_hamiltonian_is_symmetric():
         H = build_sector_hamiltonian(spec)
         d = H - H.T
         assert abs(d).max() < 1e-13
+
+
+def _product_index(spec, configs):
+    """Position of each configuration in the full product basis, site 0
+    most significant (the Kronecker-product order)."""
+    d = spec.local_dim
+    return configs.astype(np.int64) @ (d ** np.arange(spec.L - 1, -1, -1))
+
+
+def _kronecker_hamiltonian(spec):
+    """Sum over the terms of coeff * (one factor per site, the identity
+    where the term has no operator), on the full product space."""
+    eye = sp.identity(spec.local_dim, format="csr")
+    H = 0
+    for sites, mats, coeff in expanded_terms(spec):
+        ops = dict(zip(sites, mats))
+        factors = [sp.csr_matrix(ops[i]) if i in ops else eye for i in range(spec.L)]
+        H = H + coeff * reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+    return H.tocsr()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        build_xxz(8, XxzParams(delta=-0.7)),
+        build_xxz(7, XxzParams(delta=0.0)),
+        build_bh(6, BhParams(u=3.3, n_max=2)),
+        build_bh(5, BhParams(u=0.5, n_max=4)),
+        build_bh2s(4, Bh2sParams(u_ab=-0.2)),
+    ],
+    ids=["xxz", "xxz-delta0", "bh-nmax2", "bh-nmax4", "bh2s"],
+)
+def test_sector_hamiltonian_equals_kronecker_products(spec):
+    basis = sector_basis(spec)
+    idx = _product_index(spec, basis)
+    full = _kronecker_hamiltonian(spec)
+    H = build_sector_hamiltonian(spec, basis).toarray()
+    assert np.abs(H - full[idx][:, idx].toarray()).max() <= 1e-13
+    # no term leaves the sector
+    outside = np.setdiff1d(np.arange(full.shape[0]), idx)
+    assert full[outside][:, idx].nnz == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        build_xxz(10, XxzParams(delta=-0.5)),
+        build_bh(6, BhParams(u=3.3, n_max=3)),
+        build_bh2s(4, Bh2sParams(u_ab=-0.2)),
+    ],
+    ids=["xxz", "bh", "bh2s"],
+)
+def test_statevector_schmidt_equals_unblocked_svd(spec):
+    _, state = ed_ground_state(spec)
+    d = spec.local_dim
+    psi = np.zeros(d**spec.L)
+    psi[_product_index(spec, state.basis)] = state.amplitudes
+
+    def levels(M):
+        return (np.linalg.svd(M, compute_uv=False) ** 2)[: M.shape[0]]
+
+    # the off-centre cut breaks the reflection symmetry that makes the
+    # levels of left charge q and N - q equal at the centre
+    for bond in (spec.L // 2, spec.L // 2 - 1):
+        M = psi.reshape(d**bond, -1)
+        p, charges = _statevector_schmidt(state, bond)
+        assert p.size == charges.shape[0] > 1
+        whole = levels(M)
+        assert np.abs(np.sort(p)[::-1] - whole[: p.size]).max() <= 1e-14
+        assert np.all(whole[p.size:] <= 1e-14)
+        # the levels labelled q are those of the rows whose left block
+        # has charge q
+        left = np.array(np.unravel_index(np.arange(M.shape[0]), (d,) * bond)).T
+        left_q = spec.site_charge_array()[left].sum(axis=1)
+        for q in np.unique(charges, axis=0):
+            mine = np.all(charges == q, axis=1)
+            ref = levels(M[np.all(left_q == q, axis=1)])
+            assert np.abs(np.sort(p[mine])[::-1] - ref[: mine.sum()]).max() <= 1e-14
+            assert np.all(ref[mine.sum():] <= 1e-14)
 
 
 def test_lanczos_against_dense_eigh():
