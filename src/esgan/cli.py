@@ -90,17 +90,18 @@ def build_parser():
 def _apply_config_file(parser, args, argv):
     """Read 'key value...' lines and fold them in as argument defaults.
 
-    Explicit command-line flags win; the config file only fills in values
-    the user did not give.  Keys use the long flag spelling without the
-    leading dashes (underscores and dashes both accepted).  A flag that
-    takes no value (``no-adversarial``, ``kl``) is set by a line holding
-    its key alone.
+    Explicit command-line flags win; the config file only fills in the
+    destinations the command line leaves unset, whichever spelling of a
+    flag it used.  Keys use the long flag spelling without the leading
+    dashes (underscores and dashes both accepted); a later line for the
+    same flag replaces an earlier one.  A flag that takes no value
+    (``no-adversarial``, ``kl``) is set by a line holding its key alone.
     """
     if not getattr(args, "config", None):
         return args
-    switches = {
-        flag for action in parser.commands[args.command]._actions
-        if action.nargs == 0 and action.dest != "help"
+    actions = {
+        flag: action for action in parser.commands[args.command]._actions
+        if action.dest != "help"
         for flag in action.option_strings
     }
     entries = {}
@@ -112,22 +113,25 @@ def _apply_config_file(parser, args, argv):
                     continue
                 key, *vals = line.split()
                 flag = "--" + key.replace("_", "-")
-                if flag in switches and vals:
-                    raise ConfigError(
-                        f"{args.config}:{n}: {key} takes no value: {raw!r}"
-                    )
-                if flag not in switches and not vals:
-                    raise ConfigError(
-                        f"{args.config}:{n}: config line needs a value: {raw!r}"
-                    )
-                entries[flag] = vals
+                action = actions.get(flag)
+                if action is None:
+                    raise ConfigError(f"{args.config}:{n}: unknown key {key}: {raw!r}")
+                if bool(vals) == (action.nargs == 0):
+                    need = f"{key} takes no value" if vals else "config line needs a value"
+                    raise ConfigError(f"{args.config}:{n}: {need}: {raw!r}")
+                entries[action.dest] = [flag, *vals]
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    # with every default suppressed, parsing argv names the destinations
+    # it sets, however it spells the flags (short, long or abbreviated)
+    probe = build_parser()
+    for action in probe.commands[args.command]._actions:
+        action.default = argparse.SUPPRESS
+    given = vars(probe.parse_args(argv))
     rebuilt = list(argv)
-    for flag, vals in entries.items():
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue
-        rebuilt.extend([flag] + vals)
+    for dest, tokens in entries.items():
+        if dest not in given:
+            rebuilt.extend(tokens)
     return parser.parse_args(rebuilt)
 
 

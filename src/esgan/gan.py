@@ -19,7 +19,6 @@ from .models import ConfigError
 from .neuralnet import (
     Autoencoder,
     DivergenceError,
-    LrSchedule,
     MLP,
     OptimizerState,
     ShapeError,
@@ -89,11 +88,11 @@ class GanModel:
         return self.generator.n_feat
 
 
-def build_gan(n_feat=64, seed=0, skip=True):
+def build_gan(n_feat=64, seed=0):
     """Fresh GAN; generator and discriminator draw from separate seeded
     substreams so dropping one leaves the other's initialization intact."""
     rng_g = np.random.default_rng([seed, 0])
-    ae = Autoencoder.build(rng_g, n_feat=n_feat, skip=skip)
+    ae = Autoencoder.build(rng_g, n_feat=n_feat)
     rng_d = np.random.default_rng([seed, 1])
     disc = MLP.build(
         rng_d,
@@ -204,8 +203,6 @@ def train(features, cfg, train_window, val_window, sequence=None):
     gen = model.generator
     disc = model.discriminator
     adam_g, adam_d = OptimizerState(), OptimizerState()
-    sched_g = LrSchedule(cfg.lr_G, 1e-2 * cfg.lr_G, cfg.epochs_max)
-    sched_d = LrSchedule(cfg.lr_D, 1e-2 * cfg.lr_D, cfg.epochs_max)
     rng = np.random.default_rng([cfg.seed, 2])
 
     n = X_train.shape[0]
@@ -213,8 +210,8 @@ def train(features, cfg, train_window, val_window, sequence=None):
     converged = False
     train_mean = _mean_rec(gen, X_train)
     for epoch in range(cfg.epochs_max):
-        lr_g = cosine_lr(sched_g, epoch)
-        lr_d = cosine_lr(sched_d, epoch)
+        lr_g = cosine_lr(cfg.lr_G, cfg.epochs_max, epoch)
+        lr_d = cosine_lr(cfg.lr_D, cfg.epochs_max, epoch)
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
@@ -388,7 +385,7 @@ def save_detector(path, det):
     meta = {
         "detector_version": DETECTOR_VERSION,
         "n_feat": model.n_feat,
-        "skip": gen.skip,
+        "skip": True,  # part of the checkpoint format; load_detector requires it
         "seed": model.seed,
         "trained_flag": model.trained_flag,
         "converged": det.converged,
@@ -415,8 +412,9 @@ def save_detector(path, det):
 
 
 def load_detector(path):
-    """The detector saved at ``path``; a missing meta key or array, or an
-    array of the wrong shape, raises ValueError naming the path and key."""
+    """The detector saved at ``path``; a missing meta key or array, an
+    array of the wrong shape, or a ``skip`` other than true raises
+    ValueError naming the path."""
     meta, arrays = load_checkpoint(path)
     if meta.get("detector_version") != DETECTOR_VERSION:
         raise ValueError(f"{path}: unsupported detector checkpoint")
@@ -434,9 +432,9 @@ def load_detector(path):
             p[...] = arrays[key]
 
     try:
-        model = build_gan(
-            n_feat=meta["n_feat"], seed=meta["seed"], skip=meta["skip"]
-        )
+        if meta["skip"] is not True:
+            raise ValueError(f"{path}: checkpoint of a network without the skip connection")
+        model = build_gan(n_feat=meta["n_feat"], seed=meta["seed"])
         load_weights("G.", model.generator.parameters())
         load_weights("D.", model.discriminator.parameters())
         model.trained_flag = meta["trained_flag"]

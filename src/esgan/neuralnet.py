@@ -1,4 +1,4 @@
-"""Dense-network substrate: layers, pooling, backprop, ADAM, LR schedule.
+"""Dense-network substrate: layers, pooling, backprop, ADAM, LR annealing.
 
 Everything runs in 64-bit numpy on (batch, width) arrays.  The layer set
 is deliberately small (dense + max-pool + nearest-neighbor upsample) but
@@ -223,27 +223,27 @@ class Autoencoder(_FlatNetwork):
     """Encoder-decoder pair with two pool/upsample stages and one skip.
 
     Encoder: dense(n->n) relu, pool 2, dense(n/2->n/2) relu, pool 2,
-    dense(n/4->latent) relu.  Decoder mirrors it with tanh hidden layers
-    and a sigmoid output; the encoder activation after the first pool is
-    added to the pre-activation of the matching-width decoder layer.
+    dense(n/4->n/8, at least 1) relu.  Decoder mirrors it with tanh hidden
+    layers and a sigmoid output; the encoder activation after the first
+    pool is always added to the pre-activation of the matching-width
+    decoder layer.
     """
 
-    def __init__(self, enc1, enc2, enc3, dec1, dec2, dec3, skip=True):
+    def __init__(self, enc1, enc2, enc3, dec1, dec2, dec3):
         self.enc1, self.enc2, self.enc3 = enc1, enc2, enc3
         self.dec1, self.dec2, self.dec3 = dec1, dec2, dec3
         self._flatten(
             (name, getattr(self, name))
             for name in ("enc1", "enc2", "enc3", "dec1", "dec2", "dec3")
         )
-        self.skip = skip
         self._cache = None
 
     @classmethod
-    def build(cls, rng, n_feat=64, latent=None, skip=True):
+    def build(cls, rng, n_feat=64):
+        """Glorot-initialized network of width ``n_feat``, a multiple of 4."""
         if n_feat % 4:
             raise ShapeError("feature width must be divisible by 4")
-        if latent is None:
-            latent = max(1, n_feat // 8)
+        latent = max(1, n_feat // 8)
         half, quarter = n_feat // 2, n_feat // 4
         net = cls(
             enc1=make_dense(rng, n_feat, n_feat, "relu"),
@@ -252,7 +252,6 @@ class Autoencoder(_FlatNetwork):
             dec1=make_dense(rng, latent, quarter, "tanh"),
             dec2=make_dense(rng, half, half, "tanh"),
             dec3=make_dense(rng, n_feat, n_feat, "sigmoid"),
-            skip=skip,
         )
         # Start the sigmoid output near the small-probability regime that
         # dominates Schmidt spectra instead of at 0.5.  Without this the
@@ -277,9 +276,7 @@ class Autoencoder(_FlatNetwork):
 
         d1, c4 = _dense_fwd_cached(self.dec1, z)
         u1 = upsample_forward(d1, 2)
-        z2 = u1 @ self.dec2.W.T + self.dec2.b
-        if self.skip:
-            z2 = z2 + p1
+        z2 = u1 @ self.dec2.W.T + self.dec2.b + p1
         a5 = act_forward(self.dec2.activation, z2)
         c5 = (u1, z2, a5)
         u2 = upsample_forward(a5, 2)
@@ -301,12 +298,17 @@ class Autoencoder(_FlatNetwork):
         g = upsample_backward(gz @ self.dec2.W, 2)
         g = _dense_bwd(self.enc3, _dense_bwd(self.dec1, g, c4), c3)
         g = _dense_bwd(self.enc2, maxpool_backward(g, i2, 2), c2)
-        if self.skip:
-            g = g + gz  # the skip lands on p1
+        g = g + gz  # the skip lands on p1
         return _dense_bwd(self.enc1, maxpool_backward(g, i1, 2), c1)
 
 
 # ---------------------------------------------------------------------- adam
+
+# ADAM's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_ADAM = 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -315,13 +317,11 @@ class OptimizerState:
     m: np.ndarray = None
     v: np.ndarray = None
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
 
 def adam_step(state, net, lr):
-    """One bias-corrected ADAM update of ``net.theta`` from ``net.grad``.
+    """One bias-corrected ADAM update of ``net.theta`` from ``net.grad``,
+    with decay rates BETA1, BETA2 and guard EPS_ADAM.
 
     Both are flat, so the moments and the step are each one vectorized
     update in place.  Every entry sees the same operations in the same
@@ -339,39 +339,29 @@ def adam_step(state, net, lr):
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1**state.t
-    corr2 = 1.0 - b2**state.t
+    corr1 = 1.0 - BETA1**state.t
+    corr2 = 1.0 - BETA2**state.t
     m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
-    net.theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps_adam)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    net.theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + EPS_ADAM)
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    eta_max: float
-    eta_min: float
-    T: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta_min <= self.eta_max:
-            raise ValueError("need 0 <= eta_min <= eta_max")
-        if self.T < 1:
-            raise ValueError("schedule length must be >= 1")
+# the learning rate cosine_lr anneals to, as a fraction of its start
+LR_FLOOR = 1e-2
 
 
-def cosine_lr(schedule, epoch):
-    """Cosine annealing from eta_max to eta_min over T epochs."""
+def cosine_lr(eta_max, T, epoch):
+    """Cosine annealing from eta_max to LR_FLOOR * eta_max over T epochs,
+    held there after T."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    if epoch > schedule.T:
-        return schedule.eta_min
-    return schedule.eta_min + 0.5 * (schedule.eta_max - schedule.eta_min) * (
-        1.0 + math.cos(math.pi * epoch / schedule.T)
-    )
+    eta_min = LR_FLOOR * eta_max
+    if epoch > T:
+        return eta_min
+    return eta_min + 0.5 * (eta_max - eta_min) * (1.0 + math.cos(math.pi * epoch / T))
 
 
 # ----------------------------------------------------------------- checkpoint

@@ -99,6 +99,10 @@ class SweepConfig:
         if self.step is not None and self.step <= 0:
             raise ConfigError("step must be positive")
         self.dmrg_config()  # raises ConfigError on settings the solver rejects
+        try:  # and on a chain that no model accepts
+            build_model(self.model_id, self.L, self.control_min, n_max=self.n_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def grid(self):
         if self.count is not None:
@@ -128,10 +132,15 @@ def default_sweep(model_id, L, **overrides):
 
 DATASET_MAGIC = "spectrum dataset v1"
 
+# header values every dataset holds: write_dataset writes them and
+# read_dataset rejects any other
+FIXED_HEADER = {"format_version": 1, "boundary": "open"}
+
 
 @dataclass
 class SpectrumDataset:
-    """Header metadata plus one labeled spectrum per control value."""
+    """Header metadata plus one labeled spectrum per control value; the
+    format version and the open boundary are FIXED_HEADER, not fields."""
 
     model_id: str
     L: int
@@ -139,10 +148,8 @@ class SpectrumDataset:
     bipartition: int
     chi_max: int
     svd_cutoff: float
-    boundary: str
     seed: int
     records: list = field(default_factory=list)
-    format_version: int = 1
 
     def controls(self):
         return np.array([r.control_value for r in self.records])
@@ -178,14 +185,14 @@ def write_dataset(path, ds):
         seen.add(r.control_value)
     lines = [
         f"# {DATASET_MAGIC}",
-        f"format_version {ds.format_version}",
+        f"format_version {FIXED_HEADER['format_version']}",
         f"model_id {ds.model_id}",
         f"L {ds.L}",
         f"filling {_fractions_str(ds.filling)}",
         f"bipartition {ds.bipartition}",
         f"chi_max {ds.chi_max}",
         f"svd_cutoff {float(ds.svd_cutoff).hex()}",
-        "boundary open",
+        f"boundary {FIXED_HEADER['boundary']}",
         f"seed {ds.seed}",
         f"n_records {len(records)}",
     ]
@@ -244,14 +251,14 @@ def read_dataset(path):
             if key in head:
                 raise ValueError(f"{path}:{i + 1}: repeated header field {key}")
             head[key] = parse(i, _HEADER_FIELDS[key], val, key)
-            if key == "format_version" and head[key] != 1:
-                raise ValueError(f"{path}:{i + 1}: unsupported format_version {val}")
+            if key in FIXED_HEADER and head[key] != FIXED_HEADER[key]:
+                raise ValueError(f"{path}:{i + 1}: unsupported {key} {val}")
         i += 1
     missing = [key for key in _HEADER_FIELDS if key not in head]
     if missing:
         raise ValueError(f"{path}:{i}: header lacks {', '.join(missing)}")
     n_records = head.pop("n_records")
-    ds = SpectrumDataset(**head)
+    ds = SpectrumDataset(**{k: v for k, v in head.items() if k not in FIXED_HEADER})
     n_fields = len(ds.filling) + 3
     while i < len(lines):
         if lines[i] != "[record]":
@@ -486,7 +493,6 @@ def generate(cfg, log=None):
             bipartition=cfg.L // 2,
             chi_max=cfg.chi_max,
             svd_cutoff=cfg.svd_cutoff,
-            boundary="open",
             seed=cfg.seed,
         )
     have = {r.control_value for r in ds.records}
@@ -537,8 +543,8 @@ def dataset_features(ds, n_feat=N_FEAT, sequence=None):
 # ------------------------------------------------------------------- train
 
 def train_cmd(dataset_path, train_window, val_window, cfg=None, out_path=None,
-              log_path=None, n_feat=N_FEAT, overrides=None):
-    """Train a detector on a dataset; write checkpoint + training log.
+              log_path=None, overrides=None):
+    """Train a detector of width N_FEAT; write checkpoint + training log.
 
     ``cfg`` defaults to the dataset model's default TrainConfig with the
     TrainConfig fields in ``overrides`` replaced.
@@ -549,7 +555,7 @@ def train_cmd(dataset_path, train_window, val_window, cfg=None, out_path=None,
     ds = _load(dataset_path)
     if cfg is None:
         cfg = default_train_config(ds.model_id, **(overrides or {}))
-    features, sequence = dataset_features(ds, n_feat)
+    features, sequence = dataset_features(ds)
     det = gan.train(features, cfg, train_window, val_window, sequence=sequence)
     out_path = _output_path(out_path, ds.model_id, ds.L, "_detector.ckpt")
     gan.save_detector(out_path, det)
@@ -633,30 +639,27 @@ def _kl_from_origin(ds, features):
     return {f.control_value: kl_from_aligned(f.values, q) for f in features}
 
 
-def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
-             n_feat=N_FEAT):
+def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False):
     """Score a dataset with a trained detector; returns (curve, path).
 
+    The feature width and the sector sequence come from the checkpoint.
     Same-size data aligns on the detector's own sector sequence; data at
-    a different system size gets its own origin-built sequence (the
-    cross-size protocol).  ``with_kl`` appends the KL divergence of each
-    record from the origin record.  Rows come sorted by control value.
+    a different system size gets its own origin-built sequence of the
+    detector's width (the cross-size protocol).  ``with_kl`` appends the
+    KL divergence of each record from the origin record.  Rows come
+    sorted by control value.
     """
     det = gan.load_detector(checkpoint_path)
     ds = _load(dataset_path)
-    if det.model.n_feat != n_feat:
-        raise ConfigError(
-            "incompatible checkpoint/dataset: "
-            f"checkpoint n_feat={det.model.n_feat} ({checkpoint_path}), "
-            f"requested n_feat={n_feat} for {ds.header_line()}"
-        )
     if det.model_id is not None and det.model_id != ds.model_id:
         raise ConfigError(
             "incompatible checkpoint/dataset: detector trained on "
             f"{det.model_id!r} L={det.L}, dataset is {ds.header_line()}"
         )
     same_size = det.L is None or det.L == ds.L
-    features, _ = dataset_features(ds, n_feat, det.sequence if same_size else None)
+    features, _ = dataset_features(
+        ds, det.model.n_feat, det.sequence if same_size else None
+    )
     rows = gan.scan(det, features)
     if with_kl:
         kl = _kl_from_origin(ds, features)
@@ -669,8 +672,8 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False,
 
 # --------------------------------------------------------------- stability
 
-def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
-                  n_feat=N_FEAT, log=None, overrides=None):
+def stability_cmd(dataset_path, windows, cfg=None, out_path=None, log=None,
+                  overrides=None):
     """Train one detector per training window, score the full sweep with
     each, and write all score columns into a single CSV.  ``cfg`` and
     ``overrides`` act as in train_cmd.
@@ -692,7 +695,7 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
     ds = _load(dataset_path)
     if cfg is None:
         cfg = default_train_config(ds.model_id, **(overrides or {}))
-    features, sequence = dataset_features(ds, n_feat)
+    features, sequence = dataset_features(ds)
 
     def one_window(i, train_window, val_window):
         """(score by control, converged) of one window, or (None, the
@@ -732,10 +735,10 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None,
 
 # ---------------------------------------------------------------------- kl
 
-def kl_cmd(dataset_path, out_path=None, n_feat=N_FEAT):
+def kl_cmd(dataset_path, out_path=None):
     """KL divergence of every record from the origin record, as a CSV."""
     ds = _load(dataset_path)
-    features, sequence = dataset_features(ds, n_feat)
+    features, sequence = dataset_features(ds)
     rows = [
         {"control_value": control, "kl_value": kl}
         for control, kl in sorted(_kl_from_origin(ds, features).items())

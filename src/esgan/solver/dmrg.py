@@ -125,6 +125,10 @@ class DmrgConfig:
     warmup_sweeps: int = 2
 
     def __post_init__(self):
+        if self.chi_max < 1:
+            raise ConfigError(f"chi_max must be >= 1, got {self.chi_max}")
+        if not self.svd_cutoff >= 0:  # NaN too
+            raise ConfigError(f"svd_cutoff must be >= 0, got {self.svd_cutoff}")
         # convergence is tested on full-size sweeps only, which a cold run
         # reaches after its warm-up sweeps
         if self.max_sweeps <= self.warmup_sweeps:
@@ -538,7 +542,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
         config = DmrgConfig()
     mpo, channels = build_mpo(spec)
     if psi0 is None:
-        psi = product_mps(spec, seed=config.seed)
+        psi = product_mps(spec)
         n_warmup = config.warmup_sweeps
     else:
         psi = _warm_start(spec, psi0)
@@ -643,7 +647,6 @@ def dmrg_ground_state(spec, config=None, psi0=None):
             sweep_energy_prev = energy
     psi.converged = converged
     psi.truncation_error = max_discard
-    psi.seed = config.seed
     # <H> from the last half-sweep's environments: sites 1..L-1 are right
     # isometries, so site 0 against ER[1] gives <psi|H|psi>
     A = psi.site_tensors[0]

@@ -16,6 +16,9 @@ from .lanczos import lowest_eigenpair
 
 DENSE_DIM_CAP = 4000
 LANCZOS_DIM_CAP = 2_000_000
+# residual tolerance and start-vector seed of the Lanczos path
+ED_TOL = 1e-10
+ED_SEED = 1234
 
 
 @dataclass
@@ -117,12 +120,12 @@ def build_sector_hamiltonian(spec, basis=None):
     return H
 
 
-def ed_ground_state(spec, tol=1e-10, seed=1234):
-    """Sector ground state, dense below DENSE_DIM_CAP, Lanczos above.
+def ed_ground_state(spec):
+    """Sector ground state: dense below DENSE_DIM_CAP, else Lanczos to ED_TOL.
 
     The Lanczos start vector is the sector's reference product state plus
-    a seeded random perturbation, which makes runs reproducible while
-    keeping the overlap with the ground state generic.
+    a random perturbation seeded with ED_SEED, which makes runs
+    reproducible while keeping the overlap with the ground state generic.
     """
     from scipy.linalg import eigh  # local: sweeps and detection run without scipy
 
@@ -140,19 +143,19 @@ def ed_ground_state(spec, tol=1e-10, seed=1234):
         if n > LANCZOS_DIM_CAP:
             raise ValueError(f"sector dimension {n} exceeds the solver cap")
         H = build_sector_hamiltonian(spec, basis)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(ED_SEED)
         v0 = rng.standard_normal(n)
         occ = initial_product_configuration(spec)
         ref = np.where(np.all(basis == np.array(occ, dtype=np.int8), axis=1))[0]
         if ref.size:
             v0[ref[0]] += 10.0 * np.linalg.norm(v0) / np.sqrt(n)
         energy, amp, info = lowest_eigenpair(
-            H.dot, v0, tol=tol, krylov_dim=20, max_restarts=500
+            H.dot, v0, tol=ED_TOL, krylov_dim=20, max_restarts=500
         )
         info = dict(info, method="lanczos", dim=n)
         if not info["converged"]:
             raise RuntimeError(
-                f"Lanczos did not reach tol={tol} in {info['restarts']} restarts "
+                f"Lanczos did not reach tol={ED_TOL} in {info['restarts']} restarts "
                 f"(residual {info['residual']:.3e})"
             )
         energy = float(energy)

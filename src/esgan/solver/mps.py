@@ -174,7 +174,6 @@ class MPSState:
     truncation_error: float = 0.0
     sweep_energies: list = field(default_factory=list)
     converged: bool = False
-    seed: int = 0
     stats: dict = field(default_factory=dict)
     layouts: list = field(default=None, compare=False, repr=False)
 
@@ -199,14 +198,13 @@ def copy_mps(mps):
         truncation_error=mps.truncation_error,
         sweep_energies=list(mps.sweep_energies),
         converged=mps.converged,
-        seed=mps.seed,
     )
 
 
-def product_mps(spec, occ=None, seed=0):
-    """Product state MPS from one local basis index per site."""
-    if occ is None:
-        occ = initial_product_configuration(spec)
+def product_mps(spec):
+    """Product state MPS of the model's initial configuration
+    (``models.initial_product_configuration``), in the target sector."""
+    occ = initial_product_configuration(spec)
     charges = spec.site_charge_array()
     d = spec.local_dim
     tensors = []
@@ -220,7 +218,7 @@ def product_mps(spec, occ=None, seed=0):
         bond_charges.append(running[None, :].copy())
     if tuple(int(c) for c in running) != spec.target_sector:
         raise ValueError("product configuration lies outside the target sector")
-    return MPSState(site_tensors=tensors, bond_charges=bond_charges, canonical_center=0, spec=spec, seed=seed)
+    return MPSState(site_tensors=tensors, bond_charges=bond_charges, canonical_center=0, spec=spec)
 
 
 def allowed_mask_site(qL, qsite, qR):

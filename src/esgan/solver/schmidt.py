@@ -1,11 +1,11 @@
 """Charge-resolved Schmidt decomposition for both solver backends.
 
 schmidt_decompose takes an exact StateVector or an MPSState and returns
-the LabeledSpectrum of the requested bipartition.  For an MPS the Schmidt
-values fall out of moving the canonical center; for a dense state the
-amplitude matrix is cut at the bond and laid out as the solver's
-ChargeBlocks (charge conservation makes it block diagonal), whose block
-SVD gives the levels.
+the LabeledSpectrum of the central bipartition, the one every dataset
+records.  For an MPS the Schmidt values fall out of moving the canonical
+center; for a dense state the amplitude matrix is cut at the bond and
+laid out as the solver's ChargeBlocks (charge conservation makes it
+block diagonal), whose block SVD gives the levels.
 """
 
 import numpy as np
@@ -38,18 +38,15 @@ def _statevector_schmidt(state, bond):
     return s[keep] ** 2, charges[keep]
 
 
-def schmidt_decompose(state, bond=None):
-    """LabeledSpectrum of a ground state at a bipartition.
+def schmidt_decompose(state):
+    """LabeledSpectrum of a ground state cut after its first L // 2 sites.
 
-    ``bond`` is the left-block size (default L // 2).  Exact zeros are
-    dropped; ranks within each charge sector follow decreasing p; the
-    recorded truncation error is the weight missing from the kept levels.
+    Exact zeros are dropped; ranks within each charge sector follow
+    decreasing p; the recorded truncation error is the weight missing
+    from the kept levels.
     """
     spec = state.spec
-    if bond is None:
-        bond = spec.L // 2
-    if not 1 <= bond <= spec.L - 1:
-        raise IndexError(f"bond {bond} out of range for L = {spec.L}")
+    bond = spec.L // 2
     if isinstance(state, MPSState):
         p, charges = schmidt_values(state, bond)
     elif isinstance(state, StateVector):

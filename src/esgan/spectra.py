@@ -67,9 +67,6 @@ class LabeledSpectrum:
             out.setdefault(e.charge, []).append(e)
         return {q: sorted(es, key=lambda e: e.k) for q, es in sorted(out.items())}
 
-    def total_weight(self):
-        return float(sum(e.p for e in self.entries))
-
 
 def make_labeled_spectrum(p, charges, model_id, L, bipartition, filling,
                           control_value, truncation_error=None):
@@ -274,18 +271,22 @@ def align_to_reference(s, seq):
     )
 
 
-def kl_from_aligned(p, q, floor=1e-12):
+# smallest reference weight the KL divergence divides by
+KL_FLOOR = 1e-12
+
+
+def kl_from_aligned(p, q):
     """KL divergence sum p ln(p/q) (natural log) between aligned vectors.
 
-    q is clamped below at ``floor``; zero p entries contribute nothing.
+    q is clamped below at KL_FLOOR; zero p entries contribute nothing.
     """
     p = np.asarray(p, dtype=float)
-    q = np.maximum(np.asarray(q, dtype=float), floor)
+    q = np.maximum(np.asarray(q, dtype=float), KL_FLOOR)
     mask = p > 0.0
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
 
-def kl_divergence(P, Q, floor=1e-12, sequence=None):
+def kl_divergence(P, Q, sequence=None):
     """KL divergence of spectrum P from reference spectrum Q.
 
     Both spectra are aligned on ``sequence`` (built from Q over all its
@@ -295,7 +296,7 @@ def kl_divergence(P, Q, floor=1e-12, sequence=None):
         sequence = build_reference_sequence(Q, len(Q.entries))
     p = align_to_reference(P, sequence).values
     q = align_to_reference(Q, sequence).values
-    return kl_from_aligned(p, q, floor=floor)
+    return kl_from_aligned(p, q)
 
 
 def fit_central_charge(entropies, L, window=None):

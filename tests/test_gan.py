@@ -327,8 +327,10 @@ def test_detector_checkpoint_round_trip(tmp_path):
          "checkpoint lacks array 'G.enc1.b'"),
         (lambda meta, arrays: arrays.update({"D.0.b": np.zeros(3)}),
          r"array 'D.0.b' has shape \(3,\), the network needs \(8,\)"),
+        (lambda meta, arrays: meta.update({"skip": False}),
+         "checkpoint of a network without the skip connection"),
     ],
-    ids=["meta-key", "array", "array-shape"],
+    ids=["meta-key", "array", "array-shape", "skip-off"],
 )
 def test_load_detector_names_path_and_key(tmp_path, damage, message):
     det = train(synthetic_features(n=24, width=8), quick_config(epochs_max=2),

@@ -10,7 +10,6 @@ import pytest
 from esgan.neuralnet import (
     Autoencoder,
     DivergenceError,
-    LrSchedule,
     MLP,
     OptimizerState,
     ShapeError,
@@ -189,7 +188,7 @@ def test_small_mlp_matches_finite_differences(acts):
 
 def test_autoencoder_skip_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    ae = Autoencoder.build(rng, n_feat=8, skip=True)
+    ae = Autoencoder.build(rng, n_feat=8)
     x = rng.uniform(size=(1, 8))
 
     def loss():
@@ -204,7 +203,7 @@ def test_autoencoder_skip_gradients_match_finite_differences():
 
 def test_autoencoder_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
-    ae = Autoencoder.build(rng, n_feat=8, skip=True)
+    ae = Autoencoder.build(rng, n_feat=8)
     x = rng.uniform(size=(1, 8))
     target = rng.uniform(size=(1, 8))
 
@@ -342,17 +341,16 @@ def test_adam_nonfinite_gradient_changes_nothing(bad):
 # ---------------------------------------------------------------- cosine
 
 def test_cosine_lr_anchors():
-    sched = LrSchedule(eta_max=0.01, eta_min=0.0001, T=250)
-    assert cosine_lr(sched, 0) == pytest.approx(0.01)
-    assert cosine_lr(sched, 250) == pytest.approx(0.0001)
-    assert cosine_lr(sched, 125) == pytest.approx((0.01 + 0.0001) / 2)
-    assert cosine_lr(sched, 400) == pytest.approx(0.0001)  # clamped past T
+    # the floor is LR_FLOOR = 1e-2 of the start
+    assert cosine_lr(0.01, 250, 0) == pytest.approx(0.01)
+    assert cosine_lr(0.01, 250, 250) == pytest.approx(0.0001)
+    assert cosine_lr(0.01, 250, 125) == pytest.approx((0.01 + 0.0001) / 2)
+    assert cosine_lr(0.01, 250, 400) == pytest.approx(0.0001)  # clamped past T
 
 
 def test_cosine_lr_rejects_negative_epoch():
-    sched = LrSchedule(eta_max=0.01, eta_min=0.0001, T=10)
     with pytest.raises(ValueError):
-        cosine_lr(sched, -1)
+        cosine_lr(0.01, 10, -1)
 
 
 # ----------------------------------------------------------- shape algebra

@@ -81,7 +81,6 @@ def test_dataset_round_trip_is_lossless(tmp_path):
         bipartition=4,
         chi_max=16,
         svd_cutoff=1e-10,
-        boundary="open",
         seed=7,
         records=[rec],
     )
@@ -127,7 +126,7 @@ def _two_record_file(tmp_path):
     ]
     ds = SpectrumDataset(
         model_id="xxz", L=4, filling=(Fraction(1, 2),), bipartition=2,
-        chi_max=16, svd_cutoff=1e-10, boundary="open", seed=7, records=recs,
+        chi_max=16, svd_cutoff=1e-10, seed=7, records=recs,
     )
     path = str(tmp_path / "two.ds")
     write_dataset(path, ds)
@@ -146,6 +145,7 @@ def _two_record_file(tmp_path):
         (None, (17, "record"), 18),  # record marker garbled
         (None, (1, "format_version 7"), 2),  # unknown format version
         (None, (6, "chi_max 16\nchi_max 8"), 8),  # a second chi_max line
+        (None, (8, "boundary periodic"), 9),  # a chain other than open
     ],
 )
 def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
@@ -198,9 +198,10 @@ def _run_train_config_file(path):
         (read_curve, "", 1),  # empty file
         (_run_config_file, "count 3\n\nchi-max  # no value\n", 3),
         (_run_train_config_file, "seed 1\nno-adversarial yes\n", 2),
+        (_run_config_file, "count 3\ncolour blue\n", 2),
     ],
     ids=["bad-value", "short-row", "long-row", "no-header", "empty",
-         "config-no-value", "config-switch-value"],
+         "config-no-value", "config-switch-value", "config-unknown-key"],
 )
 def test_readers_name_path_and_line(tmp_path, read, text, line):
     path = str(tmp_path / "input.txt")
@@ -706,6 +707,25 @@ def test_cross_size_scan_uses_datasets_own_sequence(tmp_path):
     assert all(np.isfinite(r["anomaly_score"]) for r in curve.rows)
 
 
+def test_scan_cmd_takes_the_width_from_the_checkpoint(tmp_path):
+    from esgan import gan
+
+    ds6, path6 = tiny_sweep(tmp_path, count=9, L=6, name="L6.ds")
+    ds8, path8 = tiny_sweep(tmp_path, count=9, L=8, name="L8.ds")
+    cfg = default_train_config(
+        "xxz", epochs_max=2, batch_size=4, seed=1,
+        threshold_train=10.0, threshold_val=10.0,
+    )
+    features, sequence = dataset_features(ds6, n_feat=16)
+    det = gan.train(features, cfg, (-0.5, 0.0), (-1.0, -0.5), sequence=sequence)
+    ckpt = str(tmp_path / "det16.ckpt")
+    gan.save_detector(ckpt, det)
+    curve, _ = scan_cmd(ckpt, path6, out_path=str(tmp_path / "same.csv"))
+    assert curve.rows == gan.scan(det, features)
+    curve, _ = scan_cmd(ckpt, path8, out_path=str(tmp_path / "cross.csv"))
+    assert curve.rows == gan.scan(det, dataset_features(ds8, n_feat=16)[0])
+
+
 def test_stability_cmd_multi_window(tmp_path):
     ds, path = tiny_sweep(tmp_path, count=21, L=6)
     cfg = default_train_config(
@@ -905,6 +925,48 @@ def test_cli_config_file_fills_defaults(tmp_path, monkeypatch):
     ds = read_dataset(str(tmp_path / "xxz_L6.ds"))
     assert len(ds.records) == 3
     assert ds.chi_max == 16
+
+
+@pytest.mark.parametrize(
+    "flags, text, field, want",
+    [
+        (["-L", "4"], "length 8\n", "L", 4),
+        (["-L", "4", "--chi", "8"], "chi_max 64\n", "chi_max", 8),
+    ],
+    ids=["short-flag", "abbreviated-flag"],
+)
+def test_cli_flag_wins_over_config_file_in_any_spelling(
+    tmp_path, monkeypatch, flags, text, field, want,
+):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(text)
+    seen = []
+
+    def spy(cfg):
+        seen.append(cfg)
+        return SpectrumDataset("xxz", cfg.L, (Fraction(1, 2),), cfg.L // 2,
+                               cfg.chi_max, cfg.svd_cutoff, cfg.seed), "-"
+
+    monkeypatch.setattr(pipeline, "generate", spy)
+    assert cli.main(["generate", "xxz", *flags, "--config", str(cfg_file)]) == 0
+    assert getattr(seen[0], field) == want
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["xxz", "-L", "1"],
+        ["bh", "-L", "4", "--n-max", "1"],
+        ["bh2s", "-L", "5"],
+        ["xxz", "-L", "4", "--chi-max", "0"],
+        ["xxz", "-L", "4", "--svd-cutoff=-1e-10"],
+    ],
+    ids=["xxz-L1", "bh-n-max-1", "bh2s-odd-L", "chi-max-0", "negative-cutoff"],
+)
+def test_cli_rejects_settings_that_no_run_can_use(tmp_path, monkeypatch, flags):
+    monkeypatch.setenv("ESGAN_DATA_DIR", str(tmp_path))
+    assert cli.main(["generate", *flags, "--count", "3"]) == 2
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
