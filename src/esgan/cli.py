@@ -9,8 +9,9 @@ Subcommands mirror the pipeline functions one to one:
     kl         divergence of each spectrum from the origin spectrum
     towers     rescaled conformal-tower table at one control value
 
-Exit codes: 0 success, 2 bad configuration or arguments, 3 training did
-not converge, 4 a ground-state solve failed.  When ``--out`` is omitted,
+Exit codes: 0 success, 2 bad configuration or arguments, a missing or
+malformed input file or a missing output directory, 3 training did not
+converge, 4 a ground-state solve failed.  When ``--out`` is omitted,
 outputs land in $ESGAN_DATA_DIR (default: the working directory).
 """
 
@@ -206,7 +207,7 @@ def run(argv=None):
 def main(argv=None):
     try:
         return run(argv)
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and bad input files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -208,7 +208,6 @@ def train(features, cfg, train_window, val_window, sequence=None):
     n = X_train.shape[0]
     history = []
     converged = False
-    train_mean = _mean_rec(gen, X_train)
     for epoch in range(cfg.epochs_max):
         lr_g = cosine_lr(cfg.lr_G, cfg.epochs_max, epoch)
         lr_d = cosine_lr(cfg.lr_D, cfg.epochs_max, epoch)

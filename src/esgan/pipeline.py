@@ -64,10 +64,17 @@ def data_dir():
 
 
 def _output_path(out_path, model_id, L, suffix):
-    """``out_path``, or ``<data_dir>/<model_id>_L<L><suffix>`` when None."""
-    if out_path is not None:
-        return out_path
-    return os.path.join(data_dir(), f"{model_id}_L{L}{suffix}")
+    """``out_path``, or ``<data_dir>/<model_id>_L<L><suffix>`` when None.
+
+    Commands call it before they solve or train: a path whose directory
+    does not exist raises ConfigError naming the directory.
+    """
+    if out_path is None:
+        out_path = os.path.join(data_dir(), f"{model_id}_L{L}{suffix}")
+    directory = os.path.dirname(out_path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{out_path}: output directory {directory} does not exist")
+    return out_path
 
 
 # ------------------------------------------------------------------ sweeps
@@ -555,12 +562,13 @@ def train_cmd(dataset_path, train_window, val_window, cfg=None, out_path=None,
     ds = _load(dataset_path)
     if cfg is None:
         cfg = default_train_config(ds.model_id, **(overrides or {}))
+    out_path = _output_path(out_path, ds.model_id, ds.L, "_detector.ckpt")
+    # the log defaults to the checkpoint's path plus .log.csv
+    log_path = _output_path(out_path + ".log.csv" if log_path is None else log_path,
+                            ds.model_id, ds.L, ".log.csv")
     features, sequence = dataset_features(ds)
     det = gan.train(features, cfg, train_window, val_window, sequence=sequence)
-    out_path = _output_path(out_path, ds.model_id, ds.L, "_detector.ckpt")
     gan.save_detector(out_path, det)
-    if log_path is None:
-        log_path = out_path + ".log.csv"
     write_curve(log_path, ScoreCurve(rows=det.history))
     if not det.converged:
         raise ConvergenceError(
@@ -621,12 +629,10 @@ def read_curve(path):
     return ScoreCurve(rows=rows, metadata=metadata)
 
 
-def _write_output(ds, dataset_path, suffix, out_path, rows, **metadata):
-    """Write ``rows`` as a curve whose metadata names ``dataset_path``, to
-    ``out_path`` or else to the dataset's name plus ``suffix``; returns
-    (curve, path)."""
+def _write_output(out_path, dataset_path, rows, **metadata):
+    """Write ``rows`` to ``out_path`` as a curve whose metadata names
+    ``dataset_path``; returns (curve, path)."""
     curve = ScoreCurve(rows=rows, metadata={"dataset": dataset_path, **metadata})
-    out_path = _output_path(out_path, ds.model_id, ds.L, suffix)
     write_curve(out_path, curve)
     return curve, out_path
 
@@ -656,6 +662,7 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False):
             "incompatible checkpoint/dataset: detector trained on "
             f"{det.model_id!r} L={det.L}, dataset is {ds.header_line()}"
         )
+    out_path = _output_path(out_path, ds.model_id, ds.L, "_scan.csv")
     same_size = det.L is None or det.L == ds.L
     features, _ = dataset_features(
         ds, det.model.n_feat, det.sequence if same_size else None
@@ -665,9 +672,7 @@ def scan_cmd(checkpoint_path, dataset_path, out_path=None, with_kl=False):
         kl = _kl_from_origin(ds, features)
         for row in rows:
             row["kl_value"] = kl[row["control_value"]]
-    return _write_output(
-        ds, dataset_path, "_scan.csv", out_path, rows, detector=checkpoint_path
-    )
+    return _write_output(out_path, dataset_path, rows, detector=checkpoint_path)
 
 
 # --------------------------------------------------------------- stability
@@ -693,6 +698,7 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None, log=None,
     if len(windows) < 2:
         raise ConfigError("stability needs at least two training windows")
     ds = _load(dataset_path)
+    out_path = _output_path(out_path, ds.model_id, ds.L, "_stability.csv")
     if cfg is None:
         cfg = default_train_config(ds.model_id, **(overrides or {}))
     features, sequence = dataset_features(ds)
@@ -730,7 +736,7 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None, log=None,
         for name, scores in columns.items():
             row[name] = scores.get(c, float("nan"))
         rows.append(row)
-    return _write_output(ds, dataset_path, "_stability.csv", out_path, rows, **notes)
+    return _write_output(out_path, dataset_path, rows, **notes)
 
 
 # ---------------------------------------------------------------------- kl
@@ -738,13 +744,14 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None, log=None,
 def kl_cmd(dataset_path, out_path=None):
     """KL divergence of every record from the origin record, as a CSV."""
     ds = _load(dataset_path)
+    out_path = _output_path(out_path, ds.model_id, ds.L, "_kl.csv")
     features, sequence = dataset_features(ds)
     rows = [
         {"control_value": control, "kl_value": kl}
         for control, kl in sorted(_kl_from_origin(ds, features).items())
     ]
     return _write_output(
-        ds, dataset_path, "_kl.csv", out_path, rows,
+        out_path, dataset_path, rows,
         reference_control=repr(float(sequence.origin_control_value)),
     )
 
@@ -758,6 +765,7 @@ def towers_cmd(dataset_path, control, channel=None, out_path=None):
     sector label, level rank, raw xi, and the rescaled level.
     """
     ds = _load(dataset_path)
+    out_path = _output_path(out_path, ds.model_id, ds.L, "_towers.csv")
     record = min(ds.records, key=lambda r: abs(r.control_value - control))
     table = conformal_rescale(record, channel=channel)
     rows = [
@@ -770,7 +778,7 @@ def towers_cmd(dataset_path, control, channel=None, out_path=None):
         for r in table
     ]
     return _write_output(
-        ds, dataset_path, "_towers.csv", out_path, rows,
+        out_path, dataset_path, rows,
         control_value=repr(float(record.control_value)),
         channel=channel or "none",
     )

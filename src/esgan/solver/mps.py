@@ -92,36 +92,38 @@ class ChargeBlocks:
         per block.
         """
         out = [None] * self.keys.size
-        singles, stacks = self._svd_plan()
-        for n, lo, hi, r, c in singles:
-            out[n] = np.linalg.svd(x[lo:hi].reshape(r, c), full_matrices=False)
-        for blocks, index in stacks:
+        for blocks, index in self._svd_plan():
             U, s, Vt = np.linalg.svd(x[index], full_matrices=False)
             for j, n in enumerate(blocks):
                 out[n] = U[j], s[j], Vt[j]
         return out
 
     def _svd_plan(self):
-        """(singles, stacks): each block alone in its shape as (block, lo,
-        hi, rows, cols) in Python ints, and each shape shared by several
-        blocks as (blocks, index) with the (blocks, rows, cols) positions
-        of their entries in a block vector."""
+        """One (blocks, index) per block shape: the blocks of that shape
+        and the (blocks, rows, cols) positions of their entries in a block
+        vector."""
         if self._plan is None:
             nr, nc = self.row_hi - self.row_lo, self.col_hi - self.col_lo
             shape = nr * (nc.max() + 1) + nc
             order = np.argsort(shape, kind="stable")
             runs = np.append(_first_of_runs(shape[order]), order.size)
-            singles, stacks = [], []
+            self._plan = []
             for lo, hi in zip(runs[:-1], runs[1:]):
                 blocks = order[lo:hi].tolist()
                 r, c = int(nr[blocks[0]]), int(nc[blocks[0]])
-                ofs = self.offsets[blocks]
-                if len(blocks) == 1:
-                    singles.append((blocks[0], int(ofs[0]), int(ofs[0]) + r * c, r, c))
-                else:
-                    stacks.append((blocks, ofs[:, None, None] + np.arange(r * c).reshape(r, c)))
-            self._plan = singles, stacks
+                self._plan.append(
+                    (blocks, self.offsets[blocks][:, None, None] + np.arange(r * c).reshape(r, c))
+                )
         return self._plan
+
+    def levels(self, x):
+        """Squared singular values s**2 > 0 of a block vector and the
+        charge of each, in block order: the Schmidt levels of a cut."""
+        s = [sv[1] for sv in self.svd(x)]
+        charges = np.repeat(self.charges, [sb.size for sb in s], axis=0)
+        s = np.concatenate(s)
+        keep = s > 0.0
+        return s[keep] ** 2, charges[keep]
 
     def factors(self, svds, kept=None):
         """Dense factors from the leading ``kept[n]`` vectors of block n.
@@ -253,7 +255,9 @@ def _split_site_left(T, qL, qsite, qR):
     return B.reshape(-1, d, r), U * s, q_new, s
 
 
-def shift_center_right(mps, collect=None):
+def shift_center_right(mps):
+    """Move the canonical center one site right; returns the singular
+    values of the bond it crosses."""
     i = mps.canonical_center
     qsite = mps.spec.site_charge_array()
     A, carry, q_new, s = _split_site_right(
@@ -264,8 +268,7 @@ def shift_center_right(mps, collect=None):
     T = mps.site_tensors[i + 1]
     mps.site_tensors[i + 1] = np.dot(carry, T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:])
     mps.canonical_center = i + 1
-    if collect is not None:
-        collect.append((i + 1, s, q_new))
+    return s
 
 
 def shift_center_left(mps):
@@ -300,27 +303,22 @@ def schmidt_values(mps, bond):
         raise IndexError(f"bond {bond} out of range for L = {mps.L}")
     work = copy_mps(mps)
     move_center(work, bond)
-    qsite = work.spec.site_charge_array()
-    T = work.site_tensors[bond]
-    _, _, q_new, s = _split_site_left(
-        T, work.bond_charges[bond], qsite, work.bond_charges[bond + 1]
-    )
-    keep = s > 0.0
-    return s[keep] ** 2, q_new[keep]
+    # the layout _split_site_left cuts the center site's left bond with
+    qR = work.bond_charges[bond + 1] - work.spec.site_charge_array()[:, None]
+    blocks = ChargeBlocks(work.bond_charges[bond], qR.reshape(-1, qR.shape[-1]))
+    return blocks.levels(blocks.gather(work.site_tensors[bond]))
 
 
 def entropy_profile(mps):
     """Von Neumann entropy (natural log) at every bond, one canonical pass."""
     work = copy_mps(mps)
     move_center(work, 0)
-    collected = []
-    for _ in range(work.L - 1):
-        shift_center_right(work, collect=collected)
     out = np.zeros(work.L - 1)
-    for bond, s, _ in collected:
+    for bond in range(work.L - 1):
+        s = shift_center_right(work)
         p = s[s > 0.0] ** 2
         p = p / p.sum()
-        out[bond - 1] = float(-(p * np.log(p)).sum())
+        out[bond] = float(-(p * np.log(p)).sum())
     return out
 
 

@@ -31,11 +31,7 @@ def _statevector_schmidt(state, bond):
     qsite = state.spec.site_charge_array()
     target = np.asarray(state.spec.target_sector)
     blocks = ChargeBlocks(qsite[left].sum(axis=1), target - qsite[right].sum(axis=1))
-    s = [sv[1] for sv in blocks.svd(blocks.gather(M))]
-    charges = np.repeat(blocks.charges, [sb.size for sb in s], axis=0)
-    s = np.concatenate(s)
-    keep = s > 0.0
-    return s[keep] ** 2, charges[keep]
+    return blocks.levels(blocks.gather(M))
 
 
 def schmidt_decompose(state):

@@ -26,6 +26,7 @@ from esgan.solver.mps import (
     entropy_profile,
     move_center,
     mps_norm,
+    schmidt_values,
     to_dense,
 )
 from esgan.solver import dmrg
@@ -436,10 +437,31 @@ def test_stacked_block_svd_equals_per_block_svd():
             M = x[blocks.offsets[n]:blocks.offsets[n + 1]].reshape(blocks.row_hi[n] - blocks.row_lo[n], -1)
             for a, b in zip(got, np.linalg.svd(M, full_matrices=False)):
                 assert np.array_equal(a, b)
-    # equal shapes do occur: two 2x2 blocks and a 1x3 one
+    # equal shapes do occur: two 2x2 blocks and a 1x3 one, a stack of one
     blocks = ChargeBlocks(np.array([[0], [1], [0], [1], [2]]), np.array([[1], [0], [2], [2], [0], [1], [2]]))
-    singles, stacks = blocks._svd_plan()
-    assert [n for n, *_ in singles] == [2] and [b for b, _ in stacks] == [[0, 1]]
+    assert [b for b, _ in blocks._svd_plan()] == [[2], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "model_id, L, control, chi_max",
+    [("xxz", 10, -0.5, 32), ("bh", 8, 2.5, 24), ("bh2s", 6, 0.5, 48)],
+    ids=["xxz", "bh", "bh2s"],
+)
+def test_schmidt_values_equal_left_split_levels(model_id, L, control, chi_max):
+    # schmidt_values reads the central cut's levels without building the
+    # factors _split_site_left makes of the same layout
+    spec = build_model(model_id, L, control)
+    psi = dmrg_ground_state(spec, DmrgConfig(chi_max=chi_max, seed=6))
+    assert psi.converged
+    bond = L // 2
+    work = copy_mps(psi)
+    move_center(work, bond)
+    _, _, q_new, s = _split_site_left(work.site_tensors[bond], work.bond_charges[bond],
+                                      spec.site_charge_array(), work.bond_charges[bond + 1])
+    keep = s > 0.0
+    p, charges = schmidt_values(psi, bond)
+    assert np.array_equal(p, s[keep] ** 2) and np.array_equal(charges, q_new[keep])
+    assert np.unique(charge_keys(charges)).size > 1
 
 
 @pytest.mark.parametrize(

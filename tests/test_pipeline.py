@@ -876,6 +876,67 @@ def test_cli_generate_and_scan_exit_codes(tmp_path, monkeypatch):
     assert rc == 0
 
 
+def _header_only(tmp_path):
+    path = str(tmp_path / "cut.ds")
+    with open(os.path.join(DEMO, "xxz_L16_sweep.ds")) as fh:
+        head = fh.readlines()[:2]
+    with open(path, "w") as fh:
+        fh.writelines(head)
+    return ["kl", path], path
+
+
+def _missing_checkpoint(tmp_path):
+    path = str(tmp_path / "missing.ckpt")
+    return ["scan", path, os.path.join(DEMO, "xxz_L16_sweep.ds")], path
+
+
+def _channel_of_single_charge(tmp_path):
+    path = os.path.join(DEMO, "xxz_L16_sweep.ds")
+    return ["towers", path, "--control", "-0.5", "--channel", "spin"], "channel"
+
+
+@pytest.mark.parametrize(
+    "command", [_header_only, _missing_checkpoint, _channel_of_single_charge],
+    ids=["kl-header-only", "scan-missing-checkpoint", "towers-channel"],
+)
+def test_cli_bad_input_file_exits_2_with_the_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("ESGAN_DATA_DIR", str(tmp_path))
+    argv, named = command(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before its output path was checked")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda path, missing: generate(SweepConfig(
+            model_id="xxz", L=8, control_min=-1.0, control_max=-0.5, count=3,
+            out_path=os.path.join(missing, "x.ds"))),
+        lambda path, missing: train_cmd(path, (-0.5, 0.0), (-1.0, -0.5),
+                                        out_path=os.path.join(missing, "d.ckpt")),
+        lambda path, missing: train_cmd(path, (-0.5, 0.0), (-1.0, -0.5),
+                                        log_path=os.path.join(missing, "log.csv")),
+        lambda path, missing: stability_cmd(path, [(-0.5, 0.0), (-0.4, 0.0)],
+                                            out_path=os.path.join(missing, "s.csv")),
+    ],
+    ids=["generate", "train", "train-log", "stability"],
+)
+def test_missing_output_directory_is_refused_before_any_work(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("ESGAN_DATA_DIR", str(tmp_path))
+    monkeypatch.setattr(pipeline, "dmrg_ground_state", _must_not_run)
+    monkeypatch.setattr(pipeline.gan, "train", _must_not_run)
+    missing = str(tmp_path / "missing")
+    path = os.path.join(DEMO, "xxz_L16_sweep.ds")
+    with pytest.raises(ConfigError, match=f"output directory {re.escape(missing)} does not exist"):
+        command(path, missing)
+    assert not os.path.exists(missing)
+
+
 @pytest.mark.parametrize(
     "flags, given",
     [
