@@ -267,21 +267,25 @@ def read_dataset(path):
     n_records = head.pop("n_records")
     ds = SpectrumDataset(**{k: v for k, v in head.items() if k not in FIXED_HEADER})
     n_fields = len(ds.filling) + 3
+    controls = set()
     while i < len(lines):
         if lines[i] != "[record]":
             raise ValueError(f"{path}:{i + 1}: expected [record], found {lines[i]!r}")
         control = field(i + 1, "control", float.fromhex)
+        if control in controls:
+            raise ValueError(f"{path}:{i + 2}: duplicate control value {control!r}")
+        controls.add(control)
         trunc = field(i + 2, "truncation_error", float.fromhex)
         n_entries = field(i + 3, "n_entries", int)
         if i + 4 + n_entries > len(lines):
             raise ValueError(f"{path}:{len(lines)}: file ends inside a record")
-        p, charges = [], []
+        p, charges, ranks = [], [], []
         for n in range(i + 4, i + 4 + n_entries):
             parts = lines[n].split()  # entry <charges> <k> <p>
             try:
                 if parts[0] != "entry" or len(parts) != n_fields:
                     raise ValueError
-                int(parts[-2])
+                ranks.append(int(parts[-2]))
                 p.append(float.fromhex(parts[-1]))
                 charges.append(tuple(int(c) for c in parts[1:-2]))
             except (ValueError, IndexError):
@@ -299,6 +303,13 @@ def read_dataset(path):
             )
         except ValueError as exc:
             raise ValueError(f"{path}:{i + 1}: {exc}") from exc
+        # each (charge, k) names one entry, the one of rank k by p in its sector
+        by_rank = {(e.charge, e.k): e.p for e in record.entries}
+        for n, (q, k, pn) in enumerate(zip(charges, ranks, p), i + 4):
+            if by_rank.pop((q, k), None) != pn:
+                raise ValueError(
+                    f"{path}:{n + 1}: rank {k} is not the rank of p {pn!r} in sector {q}"
+                )
         ds.records.append(record)
         i += 4 + n_entries
     if len(ds.records) != n_records:

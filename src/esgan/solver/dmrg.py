@@ -79,7 +79,7 @@ import numpy as np
 
 from ..models import ConfigError, expanded_terms
 from .lanczos import lowest_eigenpair
-from .mps import ChargeBlocks, MPSState, charge_keys, move_center, mps_norm, product_mps
+from .mps import ChargeBlocks, MPSState, charge_keys, mps_norm, product_mps, require_center_at_0
 
 
 # Local eigensolver (Krylov dimension, residual tolerance) and warm-up
@@ -482,13 +482,13 @@ def split_two_site(blocks, x, chi_max, cutoff):
 
 
 def _warm_start(spec, psi0):
-    """Copy of ``psi0`` as the initial state of a search for ``spec``,
-    with its canonical center at site 0.
+    """Copy of ``psi0`` as the initial state of a search for ``spec``.
 
-    A solve leaves its center at site 0 already, so its final state needs
-    no gauge move.  The copy takes over ``psi0``'s layouts, which
-    ``psi0`` then no longer holds.  Raises ValueError when ``psi0`` has
-    another length, local basis or charge sector than ``spec``.
+    The search starts with its canonical center at site 0, where a solve
+    leaves it, so the copy needs no gauge move.  The copy takes over
+    ``psi0``'s layouts, which ``psi0`` then no longer holds.  Raises
+    ValueError when ``psi0`` has another length, local basis or charge
+    sector than ``spec``, or its center at another site than 0.
     """
     if psi0.L != spec.L:
         raise ValueError(f"psi0 has {psi0.L} sites, the model has {spec.L}")
@@ -499,15 +499,15 @@ def _warm_start(spec, psi0):
         raise ValueError(
             f"psi0 lies in sector {sector}, the model targets {tuple(spec.target_sector)}"
         )
+    require_center_at_0(psi0)
     psi = MPSState(
         site_tensors=[T.copy() for T in psi0.site_tensors],
         bond_charges=[q.copy() for q in psi0.bond_charges],
-        canonical_center=psi0.canonical_center,
+        canonical_center=0,
         spec=spec,
         layouts=psi0.layouts,
     )
     psi0.layouts = None
-    move_center(psi, 0)
     return psi
 
 
@@ -526,17 +526,18 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     after one (``config`` still needs ``max_sweeps`` above
     ``warmup_sweeps``, see DmrgConfig).  ``psi0``'s tensors are left
     untouched, but its H_eff layouts pass to the new state, which reuses
-    those that still fit; one of another length, local basis or sector
-    raises ValueError.  The returned state carries the variational energy
-    <H> of the final state, read off the last half-sweep's environments
-    (see the module docstring), as ``truncation_error`` the largest
-    weight fraction that one split of the final sweep discarded (0.0 when
-    that sweep kept every value), per-sweep energies, a ``converged`` flag
-    and ``stats``: matvecs, sweeps, layouts built, and the bond updates
-    solved densely (``dense_solves``) and by Lanczos (``lanczos_solves``),
-    which sum to all bond updates (see the module docstring);
-    non-convergence also raises a ConvergenceWarning but still returns
-    the state.
+    those that still fit; one of another length, local basis or sector,
+    or with its canonical center away from site 0, raises ValueError.
+    The returned state, its canonical center at site 0, carries the
+    variational energy <H> of the final state, read off the last
+    half-sweep's environments (see the module docstring), as
+    ``truncation_error`` the largest weight fraction that one split of the
+    final sweep discarded (0.0 when that sweep kept every value),
+    per-sweep energies, a ``converged`` flag and ``stats``: matvecs,
+    sweeps, layouts built, and the bond updates solved densely
+    (``dense_solves``) and by Lanczos (``lanczos_solves``), which sum to
+    all bond updates (see the module docstring); non-convergence also
+    raises a ConvergenceWarning but still returns the state.
     """
     if config is None:
         config = DmrgConfig()

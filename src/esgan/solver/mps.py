@@ -11,9 +11,16 @@ componentwise; all other entries are exactly 0.0.  Every decomposition
 goes through one layout, ChargeBlocks: a tensor read as a matrix whose
 rows and columns carry charges is block diagonal in that charge, each
 block is SVDed on its own, and the factors have no entry outside the
-blocks.  Gauge moves (canonical-center shifts) keep every direction of
-every block, so they are exact up to rounding; the sweep solver's
-two-site split (dmrg.TwoSiteBlocks) uses the same layout and truncates.
+blocks.  Gauge moves keep every direction of every block, so they are
+exact up to rounding; the sweep solver's two-site split
+(dmrg.TwoSiteBlocks) uses the same layout and truncates.
+
+Every state the package builds has its canonical center at site 0: the
+product state, and the solver's result, whose last half-sweep ends
+there.  Readers that need another center (schmidt_values,
+entropy_profile) carry it rightward from site 0 on the side, one gauge
+move per site, and leave the state as it is; they, and the solver's warm
+start, refuse a state whose center lies elsewhere.
 """
 
 from dataclasses import dataclass, field
@@ -243,79 +250,60 @@ def _split_site_right(T, qL, qsite, qR):
     return A.reshape(l, d, -1), s[:, None] * Vt, q_new, s
 
 
-def _split_site_left(T, qL, qsite, qR):
-    """Factor T = carry . B with B right-isometric per block.
+def require_center_at_0(mps):
+    """Raise ValueError unless the canonical center of ``mps`` is at site 0."""
+    if mps.canonical_center != 0:
+        raise ValueError(
+            f"canonical center at site {mps.canonical_center}; it must be at site 0"
+        )
 
-    Returns (B, carry, new_bond_charges, singular_values); the new bond is
-    the one to the left of this site.
+
+def _walk_right(mps):
+    """Carry the canonical center of ``mps`` from site 0 to the right.
+
+    Yields (T, q, s) for sites 1..L-1 in turn: the center tensor at the
+    site, the charges of its left bond, and the singular values of that
+    bond, which are its Schmidt coefficients.  Each step splits the
+    previous center with _split_site_right and multiplies the carry into
+    the next site; ``mps`` itself is neither copied nor changed.
     """
-    _, d, r = T.shape
-    blocks = ChargeBlocks(qL, (qR - qsite[:, None]).reshape(d * r, -1))
-    U, s, B, q_new = blocks.factors(blocks.svd(blocks.gather(T)))
-    return B.reshape(-1, d, r), U * s, q_new, s
-
-
-def shift_center_right(mps):
-    """Move the canonical center one site right; returns the singular
-    values of the bond it crosses."""
-    i = mps.canonical_center
+    require_center_at_0(mps)
     qsite = mps.spec.site_charge_array()
-    A, carry, q_new, s = _split_site_right(
-        mps.site_tensors[i], mps.bond_charges[i], qsite, mps.bond_charges[i + 1]
-    )
-    mps.site_tensors[i] = A
-    mps.bond_charges[i + 1] = q_new
-    T = mps.site_tensors[i + 1]
-    mps.site_tensors[i + 1] = np.dot(carry, T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:])
-    mps.canonical_center = i + 1
-    return s
-
-
-def shift_center_left(mps):
-    i = mps.canonical_center
-    qsite = mps.spec.site_charge_array()
-    B, carry, q_new, _ = _split_site_left(
-        mps.site_tensors[i], mps.bond_charges[i], qsite, mps.bond_charges[i + 1]
-    )
-    mps.site_tensors[i] = B
-    mps.bond_charges[i] = q_new
-    T = mps.site_tensors[i - 1]
-    mps.site_tensors[i - 1] = np.dot(T.reshape(-1, T.shape[2]), carry).reshape(*T.shape[:2], -1)
-    mps.canonical_center = i - 1
-
-
-def move_center(mps, site):
-    if not 0 <= site < mps.L:
-        raise IndexError(f"center site {site} out of range for L = {mps.L}")
-    while mps.canonical_center < site:
-        shift_center_right(mps)
-    while mps.canonical_center > site:
-        shift_center_left(mps)
+    T, q = mps.site_tensors[0], mps.bond_charges[0]
+    for i in range(1, mps.L):
+        _, carry, q, s = _split_site_right(T, q, qsite, mps.bond_charges[i])
+        T = mps.site_tensors[i]
+        T = np.dot(carry, T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:])
+        yield T, q, s
 
 
 def schmidt_values(mps, bond):
     """Schmidt probabilities and left-block charges at a bond of the MPS.
 
     ``bond`` = size of the left block, 1..L-1.  Returns (p, charges) with
-    p = s^2 in block order; exact zeros are dropped.
+    p = s^2 in block order; exact zeros are dropped.  The canonical center
+    must be at site 0 (ValueError otherwise); the walk to ``bond`` leaves
+    ``mps`` unchanged.
     """
     if not 1 <= bond <= mps.L - 1:
         raise IndexError(f"bond {bond} out of range for L = {mps.L}")
-    work = copy_mps(mps)
-    move_center(work, bond)
-    # the layout _split_site_left cuts the center site's left bond with
-    qR = work.bond_charges[bond + 1] - work.spec.site_charge_array()[:, None]
-    blocks = ChargeBlocks(work.bond_charges[bond], qR.reshape(-1, qR.shape[-1]))
-    return blocks.levels(blocks.gather(work.site_tensors[bond]))
+    walk = _walk_right(mps)
+    for _ in range(bond):
+        T, qL, _ = next(walk)
+    # the center tensor as a matrix whose rows are its left bond
+    qR = mps.bond_charges[bond + 1] - mps.spec.site_charge_array()[:, None]
+    blocks = ChargeBlocks(qL, qR.reshape(-1, qR.shape[-1]))
+    return blocks.levels(blocks.gather(T))
 
 
 def entropy_profile(mps):
-    """Von Neumann entropy (natural log) at every bond, one canonical pass."""
-    work = copy_mps(mps)
-    move_center(work, 0)
-    out = np.zeros(work.L - 1)
-    for bond in range(work.L - 1):
-        s = shift_center_right(work)
+    """Von Neumann entropy (natural log) at every bond, one canonical pass.
+
+    The canonical center must be at site 0 (ValueError otherwise); the
+    pass leaves ``mps`` unchanged.
+    """
+    out = np.zeros(mps.L - 1)
+    for bond, (_, _, s) in enumerate(_walk_right(mps)):
         p = s[s > 0.0] ** 2
         p = p / p.sum()
         out[bond] = float(-(p * np.log(p)).sum())

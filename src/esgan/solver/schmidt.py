@@ -2,10 +2,11 @@
 
 schmidt_decompose takes an exact StateVector or an MPSState and returns
 the LabeledSpectrum of the central bipartition, the one every dataset
-records.  For an MPS the Schmidt values fall out of moving the canonical
-center; for a dense state the amplitude matrix is cut at the bond and
-laid out as the solver's ChargeBlocks (charge conservation makes it
-block diagonal), whose block SVD gives the levels.
+records.  For an MPS the Schmidt values fall out of carrying the
+canonical center from site 0 to the bond; for a dense state the
+amplitude matrix is cut at the bond and laid out as the solver's
+ChargeBlocks (charge conservation makes it block diagonal), whose block
+SVD gives the levels.
 """
 
 import numpy as np

@@ -17,14 +17,13 @@ from esgan.solver import (
 )
 from esgan.solver.mps import (
     ChargeBlocks,
-    _split_site_left,
     _split_site_right,
+    _walk_right,
     allowed_mask_site,
     charge_keys,
     check_charge_consistency,
     copy_mps,
     entropy_profile,
-    move_center,
     mps_norm,
     schmidt_values,
     to_dense,
@@ -53,6 +52,28 @@ from oracles import (
 def run(spec, **kw):
     cfg = DmrgConfig(**kw)
     return dmrg_ground_state(spec, cfg)
+
+
+def assert_center_at_site_0(psi):
+    # sites 1..L-1 are right isometries, so site 0 holds the whole norm
+    assert psi.canonical_center == 0
+    for T in psi.site_tensors[1:]:
+        B = T.reshape(T.shape[0], -1)
+        assert np.allclose(B @ B.T, np.eye(B.shape[0]), atol=1e-12)
+
+
+def right_chain(psi):
+    """(center tensor, its left bond's charges, that bond's singular values)
+    at sites 1..L-1, with the center carried from site 0 by _split_site_right
+    and np.tensordot"""
+    qsite = psi.spec.site_charge_array()
+    T, q = psi.site_tensors[0], psi.bond_charges[0]
+    out = []
+    for i in range(1, psi.L):
+        _, carry, q, s = _split_site_right(T, q, qsite, psi.bond_charges[i])
+        T = np.tensordot(carry, psi.site_tensors[i], axes=([1], [0]))
+        out.append((T, q, s))
+    return out
 
 
 def test_xxz_small_chain_matches_ed():
@@ -134,19 +155,37 @@ def test_bond_dimension_capped_and_charges_clean():
     psi = run(spec, chi_max=20, seed=6)
     assert psi.max_bond_dimension() <= 20
     assert check_charge_consistency(psi) == 0.0
-    center = psi.canonical_center
-    work = copy_mps(psi)
-    move_center(work, work.L // 2)
-    # left of the center every tensor is a left isometry, right of it a right one
-    for i, T in enumerate(work.site_tensors):
-        chi_l, d, chi_r = T.shape
-        if i < work.canonical_center:
-            A = T.reshape(chi_l * d, chi_r)
-            assert np.allclose(A.T @ A, np.eye(chi_r), atol=1e-12)
-        elif i > work.canonical_center:
-            B = T.reshape(chi_l, d * chi_r)
-            assert np.allclose(B @ B.T, np.eye(chi_l), atol=1e-12)
-    assert psi.canonical_center == center  # original untouched
+    assert_center_at_site_0(psi)
+
+
+@pytest.mark.parametrize(
+    "model_id, L, control",
+    [("xxz", 10, -0.5), ("bh", 8, 2.5), ("bh2s", 6, 0.5)],
+    ids=["xxz", "bh", "bh2s"],
+)
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_solver_leaves_center_at_site_0(model_id, L, control):
+    # cold, warm, and stopped by max_sweeps: an energy_tol of 0 never holds
+    cfg = DmrgConfig(chi_max=24, seed=6)
+    cold = dmrg_ground_state(build_model(model_id, L, control), cfg)
+    warm = dmrg_ground_state(build_model(model_id, L, control + 0.1), cfg, psi0=copy_mps(cold))
+    with pytest.warns(ConvergenceWarning):
+        stopped = dmrg_ground_state(build_model(model_id, L, control),
+                                    dataclasses.replace(cfg, max_sweeps=3, energy_tol=0.0))
+    assert not stopped.converged and stopped.stats["sweeps"] == 3
+    for psi in (cold, warm, stopped):
+        assert_center_at_site_0(psi)
+
+
+def test_center_away_from_site_0_is_refused():
+    spec = build_model("xxz", 8, -0.5)
+    cfg = DmrgConfig(chi_max=16)
+    off = copy_mps(dmrg_ground_state(spec, cfg))
+    off.canonical_center = 1
+    for call in (lambda: schmidt_values(off, 4), lambda: entropy_profile(off),
+                 lambda: dmrg_ground_state(spec, cfg, psi0=off)):
+        with pytest.raises(ValueError, match="site 1"):
+            call()
 
 
 def test_truncation_error_is_the_final_sweeps_largest_discard(monkeypatch):
@@ -271,7 +310,7 @@ def test_gauge_moves_factor_site_tensors_per_charge_block(model_id):
         qR = np.concatenate([qL[:3] + qsite[0], sums[rng.integers(0, sums.shape[0], size=4)]])
         mask = allowed_mask_site(qL, qsite, qR)
         T = rng.standard_normal(mask.shape) * mask
-        l, r = T.shape[0], T.shape[2]
+        l = T.shape[0]
 
         A, carry, q_new, s = _split_site_right(T, qL, qsite, qR)
         k = q_new.shape[0]
@@ -280,16 +319,6 @@ def test_gauge_moves_factor_site_tensors_per_charge_block(model_id):
         assert np.abs(Am.T @ Am - np.eye(k)).max() < 1e-13
         assert not A[~allowed_mask_site(qL, qsite, q_new)].any()
         assert not carry[~np.all(q_new[:, None] == qR[None], axis=-1)].any()
-        assert np.all(np.diff(charge_keys(q_new)) >= 0)
-        assert np.unique(charge_keys(q_new)).size > 1
-
-        B, carry, q_new, s = _split_site_left(T, qL, qsite, qR)
-        k = q_new.shape[0]
-        assert np.abs(np.tensordot(carry, B, axes=([1], [0])) - T).max() < 1e-13
-        Bm = B.reshape(k, d * r)
-        assert np.abs(Bm @ Bm.T - np.eye(k)).max() < 1e-13
-        assert not B[~allowed_mask_site(q_new, qsite, qR)].any()
-        assert not carry[~np.all(qL[:, None] == q_new[None], axis=-1)].any()
         assert np.all(np.diff(charge_keys(q_new)) >= 0)
         assert np.unique(charge_keys(q_new)).size > 1
 
@@ -395,7 +424,8 @@ def test_planned_contractions_equal_tensordot():
         X = np.tensordot(A, ER, axes=([2], [0]))
         X = np.tensordot(X, W, axes=([1, 2], [1, 3]))
         assert np.array_equal(_contract_right(ER, A, W), np.tensordot(X, A, axes=([3, 1], [1, 2])))
-    # gauge moves, on a random charge-consistent MPS
+    # the walk of the center, on a random charge-consistent MPS, which it
+    # leaves as it was
     spec = build_model("bh", L=6, control=2.0, n_max=3)
     psi = dmrg_ground_state(spec, DmrgConfig(chi_max=12, max_sweeps=3, seed=4))
     psi.site_tensors = [
@@ -403,22 +433,13 @@ def test_planned_contractions_equal_tensordot():
                                                          psi.bond_charges[i + 1])
         for i, T in enumerate(psi.site_tensors)
     ]
-    work = copy_mps(psi)
-    move_center(work, 3)
-    ref = copy_mps(psi)
-    qsite = spec.site_charge_array()
-    for i in range(3):
-        A, carry, q_new, _ = _split_site_right(ref.site_tensors[i], ref.bond_charges[i], qsite,
-                                               ref.bond_charges[i + 1])
-        ref.site_tensors[i], ref.bond_charges[i + 1] = A, q_new
-        ref.site_tensors[i + 1] = np.tensordot(carry, ref.site_tensors[i + 1], axes=([1], [0]))
-    for i in range(3, 0, -1):
-        B, carry, q_new, _ = _split_site_left(ref.site_tensors[i], ref.bond_charges[i], qsite,
-                                              ref.bond_charges[i + 1])
-        ref.site_tensors[i], ref.bond_charges[i] = B, q_new
-        ref.site_tensors[i - 1] = np.tensordot(ref.site_tensors[i - 1], carry, axes=([2], [0]))
-    move_center(work, 0)
-    assert all(np.array_equal(a, b) for a, b in zip(work.site_tensors, ref.site_tensors))
+    before = copy_mps(psi)
+    steps = list(_walk_right(psi))
+    assert len(steps) == psi.L - 1
+    for got, want in zip(steps, right_chain(psi)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.array_equal(a, b) for a, b in zip(psi.site_tensors + psi.bond_charges,
+                                                    before.site_tensors + before.bond_charges))
 
 
 def test_stacked_block_svd_equals_per_block_svd():
@@ -449,15 +470,16 @@ def test_stacked_block_svd_equals_per_block_svd():
 )
 def test_schmidt_values_equal_left_split_levels(model_id, L, control, chi_max):
     # schmidt_values reads the central cut's levels without building the
-    # factors _split_site_left makes of the same layout
+    # factors of the same layout: the center tensor as a matrix whose rows
+    # are its left bond
     spec = build_model(model_id, L, control)
     psi = dmrg_ground_state(spec, DmrgConfig(chi_max=chi_max, seed=6))
     assert psi.converged
     bond = L // 2
-    work = copy_mps(psi)
-    move_center(work, bond)
-    _, _, q_new, s = _split_site_left(work.site_tensors[bond], work.bond_charges[bond],
-                                      spec.site_charge_array(), work.bond_charges[bond + 1])
+    T, qL, _ = right_chain(psi)[bond - 1]
+    qR = psi.bond_charges[bond + 1] - spec.site_charge_array()[:, None]
+    blocks = ChargeBlocks(qL, qR.reshape(-1, spec.n_charges))
+    _, s, _, q_new = blocks.factors(blocks.svd(blocks.gather(T)))
     keep = s > 0.0
     p, charges = schmidt_values(psi, bond)
     assert np.array_equal(p, s[keep] ** 2) and np.array_equal(charges, q_new[keep])

@@ -146,6 +146,8 @@ def _two_record_file(tmp_path):
         (None, (1, "format_version 7"), 2),  # unknown format version
         (None, (6, "chi_max 16\nchi_max 8"), 8),  # a second chi_max line
         (None, (8, "boundary periodic"), 9),  # a chain other than open
+        (None, (18, "control -0x1.0000000000000p-1"), 19),  # the first record's control again
+        (None, (15, "entry 2 1 0x1.8000000000000p-1"), 16),  # rank 1 in a one-level sector
     ],
 )
 def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
