@@ -134,7 +134,7 @@ def _operator_table(spec):
     b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     occ = np.diag(np.arange(dim, dtype=float))
     eye = np.eye(dim)
-    single = {"b": b, "bdag": b.T.copy(), "n": occ, "nn1": occ @ (occ - eye)}
+    single = {"b": b, "bdag": b.T.copy(), "n": occ, "nn1": occ.dot(occ - eye)}
     if spec.model_id == "bh":
         return single
     table = {"n_a.n_b": np.kron(occ, occ)}

@@ -89,7 +89,7 @@ def make_dense(rng, in_width, out_width, activation):
 
 
 def _dense_fwd_cached(layer, x):
-    z = x @ layer.W.T + layer.b
+    z = x.dot(layer.W.T) + layer.b
     a = act_forward(layer.activation, z)
     return a, (x, z, a)
 
@@ -100,9 +100,9 @@ def _dense_bwd(layer, g, cache, weights=True):
     x, z, a = cache
     gz = act_backward(layer.activation, z, a, g)
     if weights:
-        np.matmul(gz.T, x, out=layer.dW)
+        gz.T.dot(x, out=layer.dW)
         gz.sum(axis=0, out=layer.db)
-    return gz @ layer.W
+    return gz.dot(layer.W)
 
 
 def _selected(idx, window):
@@ -276,7 +276,7 @@ class Autoencoder(_FlatNetwork):
 
         d1, c4 = _dense_fwd_cached(self.dec1, z)
         u1 = upsample_forward(d1, 2)
-        z2 = u1 @ self.dec2.W.T + self.dec2.b + p1
+        z2 = u1.dot(self.dec2.W.T) + self.dec2.b + p1
         a5 = act_forward(self.dec2.activation, z2)
         c5 = (u1, z2, a5)
         u2 = upsample_forward(a5, 2)
@@ -293,9 +293,9 @@ class Autoencoder(_FlatNetwork):
         g = upsample_backward(_dense_bwd(self.dec3, g, c6), 2)
         u1, z2, a5 = c5
         gz = act_backward(self.dec2.activation, z2, a5, g)
-        np.matmul(gz.T, u1, out=self.dec2.dW)
+        gz.T.dot(u1, out=self.dec2.dW)
         gz.sum(axis=0, out=self.dec2.db)
-        g = upsample_backward(gz @ self.dec2.W, 2)
+        g = upsample_backward(gz.dot(self.dec2.W), 2)
         g = _dense_bwd(self.enc3, _dense_bwd(self.dec1, g, c4), c3)
         g = _dense_bwd(self.enc2, maxpool_backward(g, i2, 2), c2)
         g = g + gz  # the skip lands on p1

@@ -16,6 +16,7 @@ import bisect
 import contextlib
 import os
 import sys
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -350,9 +351,10 @@ def _solve_point(cfg, control, psi0=None):
 def _solve_chunk(cfg, controls, new):
     """Solve the chain ``controls`` in order, each point warm-started from
     the one before it.  Returns, in grid order, one tuple
-    (control, record, converged, sweeps, error) per control in ``new``:
-    ``error`` is the message of a solver run that raised (the other
-    fields are then None), else None."""
+    (control, record, converged, stats, error) per control in ``new``,
+    ``stats`` being the solved state's (see dmrg_ground_state): ``error``
+    is the message of a solver run that raised (the other fields are then
+    None), else None."""
     results = []
     psi = None
     for control in controls:
@@ -365,7 +367,7 @@ def _solve_chunk(cfg, controls, new):
             continue
         if control in new:
             results.append((control, schmidt_decompose(psi), psi.converged,
-                            psi.stats["sweeps"], None))
+                            psi.stats, None))
         if not psi.converged:
             psi = None  # an unconverged state seeds nothing
     return results
@@ -469,7 +471,12 @@ def generate(cfg, log=None):
     points added to a file by a different grid are seeded from that
     grid's neighbours.  A point whose solver run raises is logged and
     skipped, and the sweep continues; a point whose solver did not
-    converge is logged and kept.
+    converge is logged and kept.  Unless the file already holds every
+    grid point, the log ends with one summary line: the points written,
+    failed and not converged, the sweeps, matvecs, dense and Lanczos
+    solves and Lanczos restarts their solves took (summed ``stats`` of
+    dmrg_ground_state, over the points written; points solved again only
+    to carry a chain are not counted), and the wall seconds.
 
     Chunks are independent of each other, so they are solved in
     min(usable CPUs / BLAS threads, chunks to solve) forked worker
@@ -484,6 +491,7 @@ def generate(cfg, log=None):
     records sorted by control value, as the file does, and equals what
     reading the file back gives.
     """
+    t_start = time.perf_counter()
     log = log if log is not None else sys.stderr
     path = _output_path(cfg.out_path, cfg.model_id, cfg.L, ".ds")
     if os.path.exists(path):
@@ -527,21 +535,32 @@ def generate(cfg, log=None):
             jobs.append((chunk[:missing[-1] + 1],
                          frozenset(chunk[n] for n in missing)))
 
-    failures = 0
+    failures = unconverged = 0
+    work = dict.fromkeys(("sweeps", "matvecs", "dense_solves", "lanczos_solves", "restarts"), 0)
     with contextlib.closing(_fanned_out(partial(_solve_chunk, cfg), jobs)) as chunks:
         for results in chunks:
             n_records = len(ds.records)
-            for control, record, converged, sweeps, error in results:
+            for control, record, converged, stats, error in results:
                 if error is not None:
                     failures += 1
                     print(f"[generate] {control:g} failed: {error}", file=log)
                     continue
                 if not converged:
-                    print(f"[generate] {control:g} not converged in {sweeps} sweeps",
+                    unconverged += 1
+                    print(f"[generate] {control:g} not converged in {stats['sweeps']} sweeps",
                           file=log)
+                for key in work:
+                    work[key] += stats[key]
                 bisect.insort(ds.records, record, key=_control)
             if len(ds.records) > n_records:
                 write_dataset(path, ds)
+    print(
+        f"[generate] {n_todo - failures} points written, {failures} failed, "
+        f"{unconverged} not converged; {work['sweeps']} sweeps, {work['matvecs']} matvecs, "
+        f"{work['dense_solves']} dense and {work['lanczos_solves']} Lanczos solves, "
+        f"{work['restarts']} restarts; {time.perf_counter() - t_start:.2f} s",
+        file=log,
+    )
     if failures == n_todo:
         raise SolverError(f"all {failures} grid points failed")
     return ds, path

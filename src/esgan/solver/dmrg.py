@@ -210,7 +210,13 @@ def build_mpo(spec):
 # The environment updates are three matrix products each.  They call np.dot
 # on the very transposes and reshapes np.tensordot would build, without its
 # argument handling, so they give its bits at a fraction of its cost on the
-# small tensors of short chains.
+# small tensors of short chains.  Every other product of the sweep, the
+# H_eff matvec's pieces and the Lanczos step's included, calls np.dot or
+# ndarray.dot as well, with ``out=`` where a buffer is at hand: it returns
+# np.matmul's bits, and on the matvec's small pieces it costs less per call
+# (one BLAS thread, numpy 2.4: 0.38-0.72 us against 0.91-1.44 us for
+# np.matmul on 5x5.5x20, 20x10.10x40, 1x12.12x30 and 40x1.1x5; both about
+# 9 us at 60x60), and a BH L=8 sweep makes about 127 000 such calls.
 
 def _contract_left(E, A, W):
     """Grow a left environment (bra_r, v, ket_r) past one site."""
@@ -380,9 +386,9 @@ class TwoSiteHeff:
     def load(self, EL, ER):
         """Gather the pieces of LW and RW for environments EL and ER."""
         l, r = EL.shape[0], ER.shape[0]
-        X = EL.transpose(0, 2, 1).reshape(l * l, -1) @ self.W1.reshape(self.W1.shape[0], -1)
+        X = EL.transpose(0, 2, 1).reshape(l * l, -1).dot(self.W1.reshape(self.W1.shape[0], -1))
         X.take(self._L_index, out=self._L)
-        Y = self.W2.reshape(-1, self.W2.shape[3]) @ ER.transpose(1, 0, 2).reshape(-1, r * r)
+        Y = self.W2.reshape(-1, self.W2.shape[3]).dot(ER.transpose(1, 0, 2).reshape(-1, r * r))
         Y.take(self._R_index, out=self._R)
         return self
 
@@ -395,16 +401,16 @@ class TwoSiteHeff:
         G.flat[self._g_dst] = self._R[self._g_src]
         H = np.zeros((n, n))
         for (L, _, _), (lo, hi, s_lo, s_hi) in zip(self._left, self._rows):
-            np.matmul(L, G[s_lo:s_hi].reshape(L.shape[1], -1), out=H[lo:hi].reshape(L.shape[0], -1))
+            L.dot(G[s_lo:s_hi].reshape(L.shape[1], -1), out=H[lo:hi].reshape(L.shape[0], -1))
         return H
 
     def matvec(self, x):
         np.copyto(self._x, x)
         for xk, R, zk in self._right:
-            np.matmul(xk, R, out=zk)
+            xk.dot(R, out=zk)
         self._z.take(self._s_index, out=self._s, mode="clip")
         for L, st, yt in self._left:
-            np.matmul(L, st, out=yt)
+            L.dot(st, out=yt)
         return self._y.copy()
 
 
@@ -534,10 +540,12 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     ``truncation_error`` the largest weight fraction that one split of the
     final sweep discarded (0.0 when that sweep kept every value),
     per-sweep energies, a ``converged`` flag and ``stats``: matvecs,
-    sweeps, layouts built, and the bond updates solved densely
+    sweeps, layouts built, the bond updates solved densely
     (``dense_solves``) and by Lanczos (``lanczos_solves``), which sum to
-    all bond updates (see the module docstring); non-convergence also
-    raises a ConvergenceWarning but still returns the state.
+    all bond updates (see the module docstring), and ``restarts``, the sum
+    of the Lanczos solves' restart counts (a solve's first pass counts
+    one); non-convergence also raises a ConvergenceWarning but still
+    returns the state.
     """
     if config is None:
         config = DmrgConfig()
@@ -569,7 +577,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     ER[L] = np.ones((1, 1, 1))
     for j in range(L - 1, 0, -1):
         ER[j] = _contract_right(ER[j + 1], psi.site_tensors[j], mpo[j])
-    n_matvec = n_dense = n_lanczos = 0
+    n_matvec = n_dense = n_lanczos = n_restarts = 0
     sweep_energy_prev = None
     converged = False
     for sweep in range(config.max_sweeps):
@@ -604,6 +612,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                 else:
                     n_lanczos += 1
                     n_matvec += info["matvecs"]
+                    n_restarts += info["restarts"]
                 U3, s, Vt3, q_new, discarded = split_two_site(
                     blocks, vec, chi, config.svd_cutoff
                 )
@@ -658,6 +667,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
         "layouts_built": n_built,
         "dense_solves": n_dense,
         "lanczos_solves": n_lanczos,
+        "restarts": n_restarts,
     }
     if not converged:
         warnings.warn(

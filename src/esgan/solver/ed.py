@@ -69,7 +69,7 @@ def _encode(configs, local_dim):
     weights = local_dim ** np.arange(L - 1, -1, -1, dtype=np.int64)
     if local_dim**L > 2**62:
         raise ValueError("configuration key overflows int64; system too large for ED")
-    return configs.astype(np.int64) @ weights
+    return configs.astype(np.int64).dot(weights)
 
 
 def build_sector_hamiltonian(spec, basis=None):

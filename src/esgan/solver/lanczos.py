@@ -11,6 +11,8 @@ The projected problem is at most krylov_dim x krylov_dim and is solved
 densely with numpy.
 """
 
+import math
+
 import numpy as np
 
 # DGKS threshold: a second Gram-Schmidt pass runs when the first one left
@@ -25,7 +27,8 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
     ----------
     matvec : callable
         Maps a 1D float64 array to H @ v of the same shape.  The returned
-        array is kept and reused, so it must be a fresh array.
+        array is kept and reused, and every Lanczos step after the first
+        overwrites it in place, so it must be a fresh array.
     v0 : ndarray
         Starting vector, any nonzero norm.
     tol : float
@@ -72,31 +75,34 @@ def lowest_eigenpair(matvec, v0, tol=1e-10, krylov_dim=20, max_restarts=200):
             if j > 0:
                 w = matvec(V[j])
                 n_matvec += 1
-            alpha = V[j] @ w
+            alpha = V[j].dot(w)
             T[j, j] = alpha
             m = j + 1
             if j == m_cap - 1:
                 break
-            w = w - alpha * V[j]
             if j > 0:
-                w = w - T[j, j - 1] * V[j - 1]
-            before = np.sqrt(w.dot(w))
-            w -= V[: j + 1].T @ (V[: j + 1] @ w)
-            beta = np.sqrt(w.dot(w))
+                w -= alpha * V[j]
+                w -= T[j, j - 1] * V[j - 1]
+            else:
+                w = w - alpha * V[0]  # hx stays H @ V[0]
+            basis = V[: j + 1]
+            before = math.sqrt(w.dot(w))
+            w -= basis.T.dot(basis.dot(w))
+            beta = math.sqrt(w.dot(w))
             if beta < DGKS_ETA * before:
-                w -= V[: j + 1].T @ (V[: j + 1] @ w)
-                beta = np.sqrt(w.dot(w))
+                w -= basis.T.dot(basis.dot(w))
+                beta = math.sqrt(w.dot(w))
             if beta < 1e-13 * max(1.0, abs(T[0, 0])):
                 exhausted = True  # invariant subspace found
                 break
             T[j + 1, j] = T[j, j + 1] = beta
-            V[j + 1] = w / beta
+            np.divide(w, beta, out=V[j + 1])
         if m == 1:
             theta, x = T[0, 0], V[0]  # hx is already H @ x
         else:
             evals, evecs = np.linalg.eigh(T[:m, :m])
             theta = evals[0]
-            x = V[:m].T @ evecs[:, 0]
+            x = V[:m].T.dot(evecs[:, 0])
             x /= np.sqrt(x.dot(x))
             hx = matvec(x)
             n_matvec += 1

@@ -41,7 +41,7 @@ def charge_keys(q):
     the charge tuples, for up to three charges of magnitude below 2**19.
     """
     q = np.asarray(q, dtype=np.int64)
-    return q @ _KEY_BASE[_KEY_BASE.size - q.shape[1]:]
+    return q.dot(_KEY_BASE[_KEY_BASE.size - q.shape[1]:])
 
 
 def _first_of_runs(a):

@@ -325,7 +325,7 @@ def fit_central_charge(entropies, L, window=None):
     for K in np.linspace(0.25, 2.0, 36):
         X = np.column_stack([np.log(chord) / 6.0, np.ones_like(chord), sign * chord**(-K)])
         coef, res, *_ = np.linalg.lstsq(X, y, rcond=None)
-        resid = float(((X @ coef - y) ** 2).sum())
+        resid = float(((X.dot(coef) - y) ** 2).sum())
         if best is None or resid < best["resid"]:
             best = {"c": float(coef[0]), "s0": float(coef[1]),
                     "osc": float(coef[2]), "K": float(K), "resid": resid}

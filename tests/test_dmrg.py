@@ -267,10 +267,11 @@ def test_two_species_small_chain_matches_ed():
     assert abs(psi.energy - e_ed) < 1e-8
 
 
-@pytest.mark.parametrize("model_id", ["xxz", "bh", "bh2s"])
-def test_blocked_h_eff_matches_dense_oracle(model_id):
-    # random two-site problems whose environments and block respect the
-    # charges; bh2s has two charges, so its keys stand for tuples
+def _random_h_eff_problems(model_id):
+    """Three random two-site problems of bond 1 of an L = 4 chain whose
+    environments and block respect the charges: (mpo, channels, blocks,
+    EL, ER, theta, mask) each.  bh2s has two charges, so its keys stand
+    for tuples."""
     spec = build_model(model_id, L=4, control=0.7)
     mpo, channels = build_mpo(spec)
     qsite = spec.site_charge_array()
@@ -285,7 +286,12 @@ def test_blocked_h_eff_matches_dense_oracle(model_id):
         ER = rng.standard_normal(er_ok.shape) * er_ok
         mask = allowed_mask_two_site(qL, qsite, qsite, qR)
         theta = rng.standard_normal(mask.shape) * mask
-        blocks = TwoSiteBlocks(qL, qsite, qR)
+        yield mpo, channels, TwoSiteBlocks(qL, qsite, qR), EL, ER, theta, mask
+
+
+@pytest.mark.parametrize("model_id", ["xxz", "bh", "bh2s"])
+def test_blocked_h_eff_matches_dense_oracle(model_id):
+    for mpo, channels, blocks, EL, ER, theta, mask in _random_h_eff_problems(model_id):
         assert blocks.size == mask.sum() and blocks.keys.size > 1
         dense = apply_h_eff_dense(theta, EL, mpo[1], mpo[2], ER, np.ones_like(mask))
         # consistent charges keep H_eff inside the allowed entries
@@ -440,6 +446,47 @@ def test_planned_contractions_equal_tensordot():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert all(np.array_equal(a, b) for a, b in zip(psi.site_tensors + psi.bond_charges,
                                                     before.site_tensors + before.bond_charges))
+
+
+def _matmul_pieces(heff, EL, ER, x):
+    """The gathered pieces of LW and RW, H_eff x and H_eff as np.matmul
+    gives them from ``heff``'s layout: load, matvec and dense with every
+    product written as np.matmul."""
+    l, r = EL.shape[0], ER.shape[0]
+    LW = np.matmul(EL.transpose(0, 2, 1).reshape(l * l, -1), heff.W1.reshape(heff.W1.shape[0], -1))
+    RW = np.matmul(heff.W2.reshape(-1, heff.W2.shape[3]), ER.transpose(1, 0, 2).reshape(-1, r * r))
+    heff._L[:] = LW.take(heff._L_index)
+    heff._R[:] = RW.take(heff._R_index)
+    np.copyto(heff._x, x)
+    for xk, R, zk in heff._right:
+        np.matmul(xk, R, out=zk)
+    heff._z.take(heff._s_index, out=heff._s, mode="clip")
+    for L, st, yt in heff._left:
+        np.matmul(L, st, out=yt)
+    y = heff._y.copy()
+    n = heff.blocks.size
+    G = np.zeros((heff._s.size, n))
+    G.flat[heff._g_dst] = heff._R[heff._g_src]
+    H = np.zeros((n, n))
+    for (L, _, _), (lo, hi, s_lo, s_hi) in zip(heff._left, heff._rows):
+        np.matmul(L, G[s_lo:s_hi].reshape(L.shape[1], -1), out=H[lo:hi].reshape(L.shape[0], -1))
+    return heff._L.copy(), heff._R.copy(), y, H
+
+
+@pytest.mark.parametrize("model_id", ["xxz", "bh", "bh2s"])
+def test_h_eff_dot_products_equal_matmul(model_id, monkeypatch):
+    # load, matvec and dense call ndarray.dot, which skips np.matmul's
+    # per-call overhead; on the same pieces they must give matmul's bits,
+    # not just its values.  Every problem gets the dense() layout.
+    monkeypatch.setattr(dmrg, "N_DENSE", 10**9)
+    for _, channels, blocks, EL, ER, theta, _ in _random_h_eff_problems(model_id):
+        x = blocks.gather(theta)
+        heff = TwoSiteHeff(blocks, channels[1])
+        L_ref, R_ref, y_ref, H_ref = _matmul_pieces(heff, EL, ER, x)
+        heff.load(EL, ER)
+        assert np.array_equal(heff._L, L_ref) and np.array_equal(heff._R, R_ref)
+        assert np.array_equal(heff.matvec(x), y_ref)
+        assert np.array_equal(heff.dense(), H_ref)
 
 
 def test_stacked_block_svd_equals_per_block_svd():

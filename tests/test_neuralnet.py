@@ -23,6 +23,8 @@ from esgan.neuralnet import (
     save_checkpoint,
     upsample_backward,
     upsample_forward,
+    _dense_bwd,
+    _dense_fwd_cached,
 )
 from fdcheck import fd_gradient, max_rel_error
 
@@ -50,6 +52,26 @@ def test_dense_relu_clips_negative():
 def test_dense_tanh_saturates():
     out = MLP([identity_layer(2, "tanh")]).forward(np.array([25.0, -25.0]))
     assert abs(out[0] - 1.0) < 1e-6 and abs(out[1] + 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("batch", [1, 16, 32, 53, 121])
+@pytest.mark.parametrize("n_in, n_out", [(64, 64), (32, 32), (16, 8), (8, 16), (64, 32), (32, 1)])
+def test_dense_dot_products_equal_matmul(batch, n_in, n_out):
+    # the layers call ndarray.dot, which skips np.matmul's per-call
+    # overhead; at the detector's shapes they must give matmul's bits
+    rng = np.random.default_rng(batch * 100 + n_in + n_out)
+    layer = make_dense(rng, n_in, n_out, "tanh")
+    layer.b[:] = rng.standard_normal(n_out)
+    layer.dW, layer.db = np.empty_like(layer.W), np.empty_like(layer.b)
+    x = rng.standard_normal((batch, n_in))
+    a, cache = _dense_fwd_cached(layer, x)
+    z = x @ layer.W.T + layer.b
+    assert np.array_equal(cache[1], z) and np.array_equal(a, np.tanh(z))
+    g = rng.standard_normal((batch, n_out))
+    gx = _dense_bwd(layer, g, cache)
+    gz = g * (1.0 - a * a)
+    assert np.array_equal(gx, gz @ layer.W)
+    assert np.array_equal(layer.dW, gz.T @ x) and np.array_equal(layer.db, gz.sum(axis=0))
 
 
 def test_dense_shape_mismatch():

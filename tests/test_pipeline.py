@@ -10,6 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from esgan.pipeline import (
     write_curve,
     write_dataset,
 )
-from esgan.solver import ed_ground_state, schmidt_decompose
+from esgan.solver import dmrg, ed_ground_state, schmidt_decompose
 from esgan.spectra import make_labeled_spectrum
 
 
@@ -364,9 +365,9 @@ def test_failing_point_is_logged_and_skipped_in_any_worker(tmp_path, monkeypatch
         log = io.StringIO()
         monkeypatch.setattr(pipeline, "_sweep_workers", lambda: workers)
         ds, path = tiny_sweep(tmp_path, count=count, name=f"w{workers}.ds", log=log)
-        assert log.getvalue().splitlines() == [
-            f"[generate] {bad:g} failed: no ground state"
-        ]
+        *lines, summary = log.getvalue().splitlines()
+        assert lines == [f"[generate] {bad:g} failed: no ground state"]
+        assert summary.startswith(f"[generate] {count - 1} points written, 1 failed, 0 not converged; ")
         assert len(ds.records) == count - 1 and bad not in ds.controls()
         with open(path, "rb") as fh:
             files.append(fh.read())
@@ -548,9 +549,40 @@ def test_generate_logs_unconverged_points_and_keeps_them(tmp_path, monkeypatch):
     log = io.StringIO()
     ds, path = generate(cfg, log=log)
     assert len(read_dataset(path).records) == len(ds.records) == 3
-    assert log.getvalue().splitlines() == [
+    *lines, summary = log.getvalue().splitlines()
+    assert lines == [
         f"[generate] {c:g} not converged in 4 sweeps" for c in (-1.0, -0.5, 0.0)
     ]
+    assert summary.startswith("[generate] 3 points written, 0 failed, 3 not converged; 12 sweeps, ")
+
+
+def test_generate_summary_sums_the_solver_stats(tmp_path, monkeypatch):
+    # at L = 6 every local problem is small enough to solve densely; a
+    # lower bound sends the larger ones to Lanczos, so every count shows
+    monkeypatch.setattr(dmrg, "N_DENSE", 8)
+    log = io.StringIO()
+    began = time.perf_counter()
+    tiny_sweep(tmp_path, count=3, log=log)
+    elapsed = time.perf_counter() - began
+    # the same chain, solved directly
+    cfg = SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0, count=3, chi_max=16)
+    work = dict.fromkeys(("sweeps", "matvecs", "dense_solves", "lanczos_solves", "restarts"), 0)
+    psi = None
+    for control in cfg.grid():
+        spec = build_model("xxz", 6, float(control))
+        psi = pipeline.dmrg_ground_state(spec, cfg.dmrg_config(), psi0=psi)
+        assert psi.converged
+        for key in work:
+            work[key] += psi.stats[key]
+    assert work["dense_solves"] > 0 and work["lanczos_solves"] > 0 and work["restarts"] > 0
+    want = (
+        f"[generate] 3 points written, 0 failed, 0 not converged; {work['sweeps']} sweeps, "
+        f"{work['matvecs']} matvecs, {work['dense_solves']} dense and "
+        f"{work['lanczos_solves']} Lanczos solves, {work['restarts']} restarts; "
+    )
+    summary, = log.getvalue().splitlines()
+    assert summary.startswith(want) and summary.endswith(" s")
+    assert 0.0 <= float(summary[len(want):-2]) <= elapsed + 0.005
 
 
 def test_generate_returns_what_the_file_holds(tmp_path):
