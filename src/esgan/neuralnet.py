@@ -414,8 +414,8 @@ def _parse_meta(kind, raw):
 
 
 def load_checkpoint(path):
-    """(meta, arrays) of a checkpoint; malformed input raises ValueError
-    naming ``path:line``."""
+    """(meta, arrays) of a checkpoint; malformed input, a repeated meta key
+    or array included, raises ValueError naming ``path:line``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"# {CHECKPOINT_MAGIC}":
@@ -427,6 +427,8 @@ def load_checkpoint(path):
         parts = lines[i].split(None, 3)
         if len(parts) == 4 and parts[0] == "meta":
             _, key, kind, raw = parts
+            if key in meta:
+                raise ValueError(f"{where}: repeated meta key {key!r}")
             try:
                 meta[key] = _parse_meta(kind, raw)
             except ValueError:
@@ -434,6 +436,8 @@ def load_checkpoint(path):
             i += 1
         elif len(parts) >= 3 and parts[0] == "array":
             _, key, ndim, *dims = lines[i].split()  # a 0-d array has no dims
+            if key in arrays:
+                raise ValueError(f"{where}: repeated array {key!r}")
             if not all(x.isdigit() for x in [ndim, *dims]) or len(dims) != int(ndim):
                 raise ValueError(f"{where}: bad shape for array {key!r}")
             shape = tuple(int(x) for x in dims)

@@ -30,11 +30,13 @@ from .models import build_model
 from .neuralnet import write_atomic
 from .solver import DmrgConfig, dmrg_ground_state, schmidt_decompose
 from .spectra import (
+    LabeledSpectrum,
+    SpectrumEntry,
     align_to_reference,
     build_reference_sequence,
     conformal_rescale,
+    entry_order,
     kl_from_aligned,
-    make_labeled_spectrum,
 )
 
 
@@ -186,11 +188,9 @@ def _control(record):
 def write_dataset(path, ds):
     """Atomic write: header block, then records sorted by control value."""
     records = sorted(ds.records, key=_control)
-    seen = set()
-    for r in records:
-        if r.control_value in seen:
-            raise ValueError(f"duplicate control value {r.control_value!r}")
-        seen.add(r.control_value)
+    for a, b in zip(records, records[1:]):
+        if a.control_value == b.control_value:
+            raise ValueError(f"duplicate control value {a.control_value!r}")
     lines = [
         f"# {DATASET_MAGIC}",
         f"format_version {FIXED_HEADER['format_version']}",
@@ -215,14 +215,16 @@ def write_dataset(path, ds):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+# the header fields in the order write_dataset writes them, each with the
+# converter of its value; DmrgConfig refuses a chi_max or cutoff no run takes
 _HEADER_FIELDS = {
     "format_version": int,
     "model_id": str,
     "L": int,
     "filling": lambda v: tuple(Fraction(tok) for tok in v.split()),
     "bipartition": int,
-    "chi_max": int,
-    "svd_cutoff": float.fromhex,
+    "chi_max": lambda v: DmrgConfig(chi_max=int(v)).chi_max,
+    "svd_cutoff": lambda v: DmrgConfig(svd_cutoff=float.fromhex(v)).svd_cutoff,
     "boundary": str,
     "seed": int,
     "n_records": int,
@@ -230,94 +232,80 @@ _HEADER_FIELDS = {
 
 
 def read_dataset(path):
-    """Parse a dataset file; malformed input raises ValueError naming
-    ``path:line``."""
+    """Parse a dataset file in one pass, in the order write_dataset writes
+    it; malformed input raises ValueError naming ``path:line``.  Refused
+    are header fields missing, unknown, out of place or out of the range a
+    run writes; record fields misnamed or garbled; controls that do not
+    ascend; records without entries; entries with p <= 0, out of
+    ``entry_order`` or misranked in their sector; and a record count other
+    than the header's."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"# {DATASET_MAGIC}":
         raise ValueError(f"{path} is not a spectrum dataset")
+    pos = 0  # index of the line read last
 
-    def parse(n, convert, text, what):
-        try:
-            return convert(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}:{n + 1}: bad {what} {text!r}") from exc
+    def refuse(fault):
+        raise ValueError(f"{path}:{min(pos + 1, len(lines))}: {fault}")
 
-    def field(n, name, convert):
-        if n >= len(lines):
-            raise ValueError(f"{path}:{len(lines)}: file ends inside a record")
-        key, _, val = lines[n].partition(" ")
+    def field(name, convert):
+        """The value on the next line, which must be ``<name> <value>``."""
+        nonlocal pos
+        pos += 1
+        if pos == len(lines):
+            refuse(f"file ends where {name} belongs")
+        key, _, val = lines[pos].partition(" ")
         if key != name:
-            raise ValueError(f"{path}:{n + 1}: expected {name}, found {lines[n]!r}")
-        return parse(n, convert, val, name)
+            refuse(f"expected {name}, found {lines[pos]!r}")
+        try:
+            return convert(val)
+        except (ValueError, ZeroDivisionError) as exc:
+            refuse(f"bad {name} {val!r}: {exc}")
 
     head = {}
-    i = 1
-    while i < len(lines) and lines[i] != "[record]":
-        key, _, val = lines[i].partition(" ")
-        if key in _HEADER_FIELDS:
-            if key in head:
-                raise ValueError(f"{path}:{i + 1}: repeated header field {key}")
-            head[key] = parse(i, _HEADER_FIELDS[key], val, key)
-            if key in FIXED_HEADER and head[key] != FIXED_HEADER[key]:
-                raise ValueError(f"{path}:{i + 1}: unsupported {key} {val}")
-        i += 1
-    missing = [key for key in _HEADER_FIELDS if key not in head]
-    if missing:
-        raise ValueError(f"{path}:{i}: header lacks {', '.join(missing)}")
-    n_records = head.pop("n_records")
-    ds = SpectrumDataset(**{k: v for k, v in head.items() if k not in FIXED_HEADER})
-    n_fields = len(ds.filling) + 3
-    controls = set()
-    while i < len(lines):
-        if lines[i] != "[record]":
-            raise ValueError(f"{path}:{i + 1}: expected [record], found {lines[i]!r}")
-        control = field(i + 1, "control", float.fromhex)
-        if control in controls:
-            raise ValueError(f"{path}:{i + 2}: duplicate control value {control!r}")
-        controls.add(control)
-        trunc = field(i + 2, "truncation_error", float.fromhex)
-        n_entries = field(i + 3, "n_entries", int)
-        if i + 4 + n_entries > len(lines):
-            raise ValueError(f"{path}:{len(lines)}: file ends inside a record")
-        p, charges, ranks = [], [], []
-        for n in range(i + 4, i + 4 + n_entries):
-            parts = lines[n].split()  # entry <charges> <k> <p>
-            try:
-                if parts[0] != "entry" or len(parts) != n_fields:
-                    raise ValueError
-                ranks.append(int(parts[-2]))
-                p.append(float.fromhex(parts[-1]))
-                charges.append(tuple(int(c) for c in parts[1:-2]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{n + 1}: bad entry {lines[n]!r}") from None
-        try:
-            record = make_labeled_spectrum(
-                p,
-                charges,
-                model_id=ds.model_id,
-                L=ds.L,
-                bipartition=ds.bipartition,
-                filling=ds.filling,
-                control_value=control,
-                truncation_error=trunc,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i + 1}: {exc}") from exc
-        # each (charge, k) names one entry, the one of rank k by p in its sector
-        by_rank = {(e.charge, e.k): e.p for e in record.entries}
-        for n, (q, k, pn) in enumerate(zip(charges, ranks, p), i + 4):
-            if by_rank.pop((q, k), None) != pn:
-                raise ValueError(
-                    f"{path}:{n + 1}: rank {k} is not the rank of p {pn!r} in sector {q}"
-                )
-        ds.records.append(record)
-        i += 4 + n_entries
-    if len(ds.records) != n_records:
-        raise ValueError(
-            f"{path}:{len(lines)}: header promises {n_records} records, "
-            f"file holds {len(ds.records)}"
-        )
+    for name, convert in _HEADER_FIELDS.items():
+        value = head[name] = field(name, convert)
+        if (FIXED_HEADER.get(name, value) != value
+                or name == "L" and value < 2
+                or name == "n_records" and value < 0
+                or name == "bipartition" and not 1 <= value <= head["L"] - 1):
+            refuse(f"no run writes {lines[pos]!r}")
+    ds = SpectrumDataset(**{k: v for k, v in head.items()
+                            if k not in FIXED_HEADER and k != "n_records"})
+
+    def entry(text):  # <charges> <k> <p>
+        *charge, k, p = text.split()
+        if len(charge) != len(ds.filling):
+            raise ValueError(f"{len(charge)} charges, the filling has {len(ds.filling)}")
+        return SpectrumEntry(p=float.fromhex(p), charge=tuple(map(int, charge)), k=int(k))
+
+    for _ in range(head["n_records"]):
+        if field("[record]", str):
+            refuse(f"expected [record], found {lines[pos]!r}")
+        control = field("control", float.fromhex)
+        if ds.records and not control > ds.records[-1].control_value:
+            refuse(f"control {control!r} is not above the one before it")
+        trunc = field("truncation_error", float.fromhex)
+        n_entries = field("n_entries", int)
+        if n_entries < 1:
+            refuse("a record holds at least one entry")
+        entries, next_k = [], {}
+        for _ in range(n_entries):
+            e = field("entry", entry)
+            if not e.p > 0.0:
+                refuse(f"p {e.p!r} is not > 0")
+            if entries and not entry_order(e) > entry_order(entries[-1]):
+                refuse("entry does not sort after the one before it")
+            if e.k != next_k.get(e.charge, 0):
+                refuse(f"rank {e.k} does not count up from 0 in sector {e.charge}")
+            next_k[e.charge] = e.k + 1
+            entries.append(e)
+        ds.records.append(LabeledSpectrum(
+            tuple(entries), ds.model_id, ds.L, ds.bipartition, ds.filling,
+            control_value=control, truncation_error=trunc))
+    if pos + 1 < len(lines):
+        pos += 1
+        refuse(f"header promises {head['n_records']} records, file holds more")
     return ds
 
 
@@ -632,24 +620,26 @@ def write_curve(path, curve):
 
 
 def read_curve(path):
-    """Parse a curve file; a bad value, a row whose field count differs
-    from the header's, or a missing header raises ValueError naming
-    ``path:line``."""
+    """Parse a curve file; a repeated metadata key or column, a bad value,
+    a row whose field count differs from the header's, or a missing header
+    raises ValueError naming ``path:line``."""
     metadata, rows, columns = {}, [], None
     with open(path) as fh:
         lines = fh.read().splitlines()
     for n, line in enumerate(lines, 1):
         if line.startswith("# "):
             key, _, val = line[2:].partition(" ")
+            if key in metadata:
+                raise ValueError(f"{path}:{n}: repeated key {key}")
             metadata[key] = val
         elif columns is None:
             columns = line.split(",")
+            if len(set(columns)) < len(columns):
+                raise ValueError(f"{path}:{n}: repeated column in {line!r}")
         else:
             tokens = line.split(",")
             if len(tokens) != len(columns):
-                raise ValueError(
-                    f"{path}:{n}: {len(tokens)} fields, header has {len(columns)}"
-                )
+                raise ValueError(f"{path}:{n}: {len(tokens)} fields, header has {len(columns)}")
             try:
                 rows.append(dict(zip(columns, map(float, tokens))))
             except ValueError as exc:

@@ -68,6 +68,11 @@ class LabeledSpectrum:
         return {q: sorted(es, key=lambda e: e.k) for q, es in sorted(out.items())}
 
 
+def entry_order(e):
+    """Sort key of ``LabeledSpectrum.entries``: -p, then charge, then k."""
+    return (-e.p, e.charge, e.k)
+
+
 def make_labeled_spectrum(p, charges, model_id, L, bipartition, filling,
                           control_value, truncation_error=None):
     """Assemble a LabeledSpectrum from raw probabilities and charge labels.
@@ -90,7 +95,7 @@ def make_labeled_spectrum(p, charges, model_id, L, bipartition, filling,
         order = np.argsort(-p[idx], kind="stable")
         for k, j in enumerate(order):
             entries.append(SpectrumEntry(p=float(p[idx[j]]), charge=q, k=k))
-    entries.sort(key=lambda e: (-e.p, e.charge, e.k))
+    entries.sort(key=entry_order)
     if truncation_error is None:
         truncation_error = max(0.0, 1.0 - float(p.sum()))
     return LabeledSpectrum(

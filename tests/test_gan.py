@@ -319,20 +319,26 @@ def test_detector_checkpoint_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "damage, message",
+    "damage, extra, message",
     [
-        (lambda meta, arrays: meta.pop("mean_train_loss"),
+        (lambda meta, arrays: meta.pop("mean_train_loss"), [],
          "checkpoint lacks meta key 'mean_train_loss'"),
-        (lambda meta, arrays: arrays.pop("G.enc1.b"),
+        (lambda meta, arrays: arrays.pop("G.enc1.b"), [],
          "checkpoint lacks array 'G.enc1.b'"),
-        (lambda meta, arrays: arrays.update({"D.0.b": np.zeros(3)}),
+        (lambda meta, arrays: arrays.update({"D.0.b": np.zeros(3)}), [],
          r"array 'D.0.b' has shape \(3,\), the network needs \(8,\)"),
-        (lambda meta, arrays: meta.update({"skip": False}),
+        (lambda meta, arrays: meta.update({"skip": False}), [],
          "checkpoint of a network without the skip connection"),
+        (lambda meta, arrays: None, ["meta seed int 3"], "repeated meta key 'seed'"),
+        (lambda meta, arrays: None, ["array D.0.b 1 8", " ".join(["0x0.0p+0"] * 8)],
+         "repeated array 'D.0.b'"),
     ],
-    ids=["meta-key", "array", "array-shape", "skip-off"],
+    ids=["meta-key", "array", "array-shape", "skip-off", "repeated-meta-key",
+         "repeated-array"],
 )
-def test_load_detector_names_path_and_key(tmp_path, damage, message):
+def test_load_detector_names_path_and_key(tmp_path, damage, extra, message):
+    """``extra`` lines appended to the saved file are refused at the first
+    of them."""
     det = train(synthetic_features(n=24, width=8), quick_config(epochs_max=2),
                 (-0.5, 0.0), (-1.0, -0.5))
     path = str(tmp_path / "det.ckpt")
@@ -340,7 +346,12 @@ def test_load_detector_names_path_and_key(tmp_path, damage, message):
     meta, arrays = load_checkpoint(path)
     damage(meta, arrays)
     save_checkpoint(path, meta, arrays)
-    with pytest.raises(ValueError, match=f"^{re.escape(path)}: {message}$"):
+    with open(path) as fh:
+        n_lines = len(fh.read().splitlines())
+    with open(path, "a") as fh:
+        fh.write("".join(line + "\n" for line in extra))
+    where = f"{path}:{n_lines + 1}" if extra else path
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}: {message}$"):
         load_detector(path)
 
 

@@ -1,6 +1,7 @@
 """File formats, sweep resume semantics, command orchestration, CLI
 behavior and exit codes, all at toy sizes."""
 
+import glob
 import io
 import itertools
 import multiprocessing
@@ -140,15 +141,30 @@ def _two_record_file(tmp_path):
     [
         (-1, None, 22),  # ends inside the second record's entries
         (-6, None, 17),  # ends after whole records, short of n_records
-        (None, (18, "contrl 0x0.0p+0"), 19),  # record field misnamed
-        (None, (21, "entry 2 0 0xzz"), 22),  # probability garbled
-        (None, (3, "L four"), 4),  # header value garbled
-        (None, (17, "record"), 18),  # record marker garbled
-        (None, (1, "format_version 7"), 2),  # unknown format version
-        (None, (6, "chi_max 16\nchi_max 8"), 8),  # a second chi_max line
-        (None, (8, "boundary periodic"), 9),  # a chain other than open
-        (None, (18, "control -0x1.0000000000000p-1"), 19),  # the first record's control again
-        (None, (15, "entry 2 1 0x1.8000000000000p-1"), 16),  # rank 1 in a one-level sector
+        (None, {18: "contrl 0x0.0p+0"}, 19),  # record field misnamed
+        (None, {21: "entry 2 0 0xzz"}, 22),  # probability garbled
+        (None, {3: "L four"}, 4),  # header value garbled
+        (None, {17: "record"}, 18),  # record marker garbled
+        (None, {1: "format_version 7"}, 2),  # unknown format version
+        (None, {6: "chi_max 16\nchi_max 8"}, 8),  # a second chi_max line
+        (None, {8: "boundary periodic"}, 9),  # a chain other than open
+        (None, {18: "control -0x1.0000000000000p-1"}, 19),  # the first record's control again
+        (None, {15: "entry 2 1 0x1.8000000000000p-1"}, 16),  # rank 1 in a one-level sector
+        # the first record's entries swapped, ranks unchanged
+        (None, {15: f"entry 3 0 {(0.25 - 1e-9).hex()}",
+                16: "entry 2 0 0x1.8000000000000p-1"}, 17),
+        (None, {9: "seed 7\nfoo bar"}, 11),  # an unknown header field
+        (None, {3: "filling 1/2", 4: "L 4"}, 4),  # two header fields swapped
+        (None, {15: "entry 2 0 0x0.0p+0"}, 16),  # p = 0
+        (None, {3: "L 1"}, 4),  # a chain too short to cut
+        (None, {5: "bipartition 0"}, 6),  # an empty left block
+        (None, {5: "bipartition 9"}, 6),  # a left block longer than the chain
+        (None, {6: "chi_max 0"}, 7),
+        (None, {7: "svd_cutoff nan"}, 8),
+        (None, {7: "svd_cutoff -0x1p-10"}, 8),
+        (None, {18: "control -0x1.0000000000000p+0"}, 19),  # controls descend
+        (None, {10: "n_records -1"}, 11),
+        (None, {14: "n_entries 0"}, 15),
     ],
 )
 def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
@@ -156,12 +172,35 @@ def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
     assert read_dataset(path).records  # the intact file reads
     if cut is not None:
         lines = lines[:cut]
-    if edit is not None:
-        lines[edit[0]] = edit[1]
+    for n, text in (edit or {}).items():
+        lines[n] = text
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: "):
         read_dataset(path)
+
+
+def test_read_equals_make_labeled_spectrum(tmp_path):
+    """Every record read equals the one make_labeled_spectrum builds from
+    its parsed values, on the demo datasets, the tests/.cache files present
+    and a 3-point sweep of each model."""
+    cache = os.path.join(os.path.dirname(__file__), ".cache")
+    paths = sorted(glob.glob(os.path.join(DEMO, "*.ds")) + glob.glob(os.path.join(cache, "*.ds")))
+    for model_id, L, lo, hi in (("xxz", 6, -1.0, 0.0), ("bh", 4, 1.0, 3.0),
+                                ("bh2s", 4, -0.4, 0.0)):
+        paths.append(generate(SweepConfig(
+            model_id=model_id, L=L, control_min=lo, control_max=hi, count=3, chi_max=16,
+            out_path=str(tmp_path / f"{model_id}.ds"),
+        ), log=io.StringIO())[1])
+    for path in paths:
+        ds = read_dataset(path)
+        assert ds.records, path
+        for r in ds.records:
+            assert r == make_labeled_spectrum(
+                [e.p for e in r.entries], [e.charge for e in r.entries],
+                model_id=ds.model_id, L=ds.L, bipartition=ds.bipartition, filling=ds.filling,
+                control_value=r.control_value, truncation_error=r.truncation_error,
+            ), (path, r.control_value)
 
 
 def test_curve_round_trip(tmp_path):
@@ -202,9 +241,12 @@ def _run_train_config_file(path):
         (_run_config_file, "count 3\n\nchi-max  # no value\n", 3),
         (_run_train_config_file, "seed 1\nno-adversarial yes\n", 2),
         (_run_config_file, "count 3\ncolour blue\n", 2),
+        (read_curve, "# k v\n# k w\na,b\n1.0,2.0\n", 2),  # a second "# k" line
+        (read_curve, "a,a\n1.0,2.0\n", 1),  # a repeated column
     ],
     ids=["bad-value", "short-row", "long-row", "no-header", "empty",
-         "config-no-value", "config-switch-value", "config-unknown-key"],
+         "config-no-value", "config-switch-value", "config-unknown-key",
+         "curve-repeated-key", "curve-repeated-column"],
 )
 def test_readers_name_path_and_line(tmp_path, read, text, line):
     path = str(tmp_path / "input.txt")
