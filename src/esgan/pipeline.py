@@ -2,7 +2,11 @@
 
 Datasets are self-describing structured text: a header block followed by
 one record block per control-parameter value, every float hex-encoded so
-write -> read round-trips exactly.  Every file is written whole to a
+write -> read round-trips exactly.  The header is one table,
+``_HEADER_FIELDS``, of one row per line: write_dataset prints it,
+read_dataset parses it and generate checks an existing file against it,
+all by walking the rows, so format v2 extends the header by adding rows.
+Every file is written whole to a
 temp file and renamed into place (``neuralnet.write_atomic``), which
 makes interrupted sweeps resumable: grid points whose control value
 already sits in the file are not recorded again on rerun.
@@ -18,9 +22,11 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
+from typing import ClassVar
 
 import numpy as np
 
@@ -132,6 +138,8 @@ class SweepConfig:
 
 
 def default_sweep(model_id, L, **overrides):
+    if model_id not in DEFAULT_GRIDS:
+        raise ConfigError(f"unknown model {model_id!r}")
     lo, hi, step = DEFAULT_GRIDS[model_id]
     kw = dict(model_id=model_id, L=L, control_min=lo, control_max=hi, step=step)
     kw.update(overrides)
@@ -142,16 +150,15 @@ def default_sweep(model_id, L, **overrides):
 
 DATASET_MAGIC = "spectrum dataset v1"
 
-# header values every dataset holds: write_dataset writes them and
-# read_dataset rejects any other
-FIXED_HEADER = {"format_version": 1, "boundary": "open"}
-
 
 @dataclass
 class SpectrumDataset:
     """Header metadata plus one labeled spectrum per control value; the
-    format version and the open boundary are FIXED_HEADER, not fields."""
+    format version and the open boundary, the same in every dataset, are
+    class constants, not fields."""
 
+    format_version: ClassVar[int] = 1
+    boundary: ClassVar[str] = "open"
     model_id: str
     L: int
     filling: tuple
@@ -160,6 +167,10 @@ class SpectrumDataset:
     svd_cutoff: float
     seed: int
     records: list = field(default_factory=list)
+
+    @property
+    def n_records(self):
+        return len(self.records)
 
     def controls(self):
         return np.array([r.control_value for r in self.records])
@@ -177,8 +188,35 @@ class SpectrumDataset:
         )
 
 
-def _fractions_str(filling):
-    return " ".join(f"{f.numerator}/{f.denominator}" for f in filling)
+def _parser(convert, valid=lambda value, head: True):
+    """Header parser: ``convert(text)``, refused where ``valid(value,
+    head)`` is false, ``head`` holding the fields read before it."""
+    def parse(text, head):
+        value = convert(text)
+        if not valid(value, head):
+            raise ValueError("no run writes it")
+        return value
+    return parse
+
+
+# The dataset header, one row per line in file order: name -> (parser,
+# printer).  write_dataset prints ``<name> <printer(ds.<name>)>``;
+# read_dataset calls the parser on the rest of the line, and it refuses
+# what no run writes (DmrgConfig refuses a chi_max or cutoff no run takes).
+_HEADER_FIELDS = {
+    "format_version": (_parser(int, lambda v, head: v == SpectrumDataset.format_version), str),
+    "model_id": (_parser(str, lambda v, head: v in DEFAULT_GRIDS), str),
+    "L": (_parser(int, lambda v, head: v >= 2), str),
+    "filling": (_parser(lambda text: tuple(Fraction(tok) for tok in text.split())),
+                lambda filling: " ".join(f"{f.numerator}/{f.denominator}" for f in filling)),
+    "bipartition": (_parser(int, lambda v, head: 1 <= v < head.L), str),
+    "chi_max": (_parser(lambda text: DmrgConfig(chi_max=int(text)).chi_max), str),
+    "svd_cutoff": (_parser(lambda text: DmrgConfig(svd_cutoff=float.fromhex(text)).svd_cutoff),
+                   lambda cutoff: float(cutoff).hex()),
+    "boundary": (_parser(str, lambda v, head: v == SpectrumDataset.boundary), str),
+    "seed": (_parser(int), str),
+    "n_records": (_parser(int, lambda v, head: v >= 0), str),
+}
 
 
 def _control(record):
@@ -186,24 +224,14 @@ def _control(record):
 
 
 def write_dataset(path, ds):
-    """Atomic write: header block, then records sorted by control value."""
+    """Atomic write: the header row by row, then the records sorted by
+    control value."""
     records = sorted(ds.records, key=_control)
     for a, b in zip(records, records[1:]):
         if a.control_value == b.control_value:
             raise ValueError(f"duplicate control value {a.control_value!r}")
-    lines = [
-        f"# {DATASET_MAGIC}",
-        f"format_version {FIXED_HEADER['format_version']}",
-        f"model_id {ds.model_id}",
-        f"L {ds.L}",
-        f"filling {_fractions_str(ds.filling)}",
-        f"bipartition {ds.bipartition}",
-        f"chi_max {ds.chi_max}",
-        f"svd_cutoff {float(ds.svd_cutoff).hex()}",
-        f"boundary {FIXED_HEADER['boundary']}",
-        f"seed {ds.seed}",
-        f"n_records {len(records)}",
-    ]
+    lines = [f"# {DATASET_MAGIC}"]
+    lines += [f"{name} {show(getattr(ds, name))}" for name, (_, show) in _HEADER_FIELDS.items()]
     for r in records:
         lines.append("[record]")
         lines.append(f"control {float(r.control_value).hex()}")
@@ -213,22 +241,6 @@ def write_dataset(path, ds):
             charge = " ".join(str(c) for c in e.charge)
             lines.append(f"entry {charge} {e.k} {float(e.p).hex()}")
     write_atomic(path, "\n".join(lines) + "\n")
-
-
-# the header fields in the order write_dataset writes them, each with the
-# converter of its value; DmrgConfig refuses a chi_max or cutoff no run takes
-_HEADER_FIELDS = {
-    "format_version": int,
-    "model_id": str,
-    "L": int,
-    "filling": lambda v: tuple(Fraction(tok) for tok in v.split()),
-    "bipartition": int,
-    "chi_max": lambda v: DmrgConfig(chi_max=int(v)).chi_max,
-    "svd_cutoff": lambda v: DmrgConfig(svd_cutoff=float.fromhex(v)).svd_cutoff,
-    "boundary": str,
-    "seed": int,
-    "n_records": int,
-}
 
 
 def read_dataset(path):
@@ -262,16 +274,11 @@ def read_dataset(path):
         except (ValueError, ZeroDivisionError) as exc:
             refuse(f"bad {name} {val!r}: {exc}")
 
-    head = {}
-    for name, convert in _HEADER_FIELDS.items():
-        value = head[name] = field(name, convert)
-        if (FIXED_HEADER.get(name, value) != value
-                or name == "L" and value < 2
-                or name == "n_records" and value < 0
-                or name == "bipartition" and not 1 <= value <= head["L"] - 1):
-            refuse(f"no run writes {lines[pos]!r}")
-    ds = SpectrumDataset(**{k: v for k, v in head.items()
-                            if k not in FIXED_HEADER and k != "n_records"})
+    head = SimpleNamespace()
+    for name, (parse, _) in _HEADER_FIELDS.items():
+        setattr(head, name, field(name, partial(parse, head=head)))
+    ds = SpectrumDataset(**{f.name: getattr(head, f.name)
+                            for f in fields(SpectrumDataset) if f.name != "records"})
 
     def entry(text):  # <charges> <k> <p>
         *charge, k, p = text.split()
@@ -279,7 +286,7 @@ def read_dataset(path):
             raise ValueError(f"{len(charge)} charges, the filling has {len(ds.filling)}")
         return SpectrumEntry(p=float.fromhex(p), charge=tuple(map(int, charge)), k=int(k))
 
-    for _ in range(head["n_records"]):
+    for _ in range(head.n_records):
         if field("[record]", str):
             refuse(f"expected [record], found {lines[pos]!r}")
         control = field("control", float.fromhex)
@@ -305,7 +312,7 @@ def read_dataset(path):
             control_value=control, truncation_error=trunc))
     if pos + 1 < len(lines):
         pos += 1
-        refuse(f"header promises {head['n_records']} records, file holds more")
+        refuse(f"header promises {head.n_records} records, file holds more")
     return ds
 
 
@@ -482,33 +489,19 @@ def generate(cfg, log=None):
     t_start = time.perf_counter()
     log = log if log is not None else sys.stderr
     path = _output_path(cfg.out_path, cfg.model_id, cfg.L, ".ds")
+    spec = build_model(cfg.model_id, cfg.L, cfg.control_min, n_max=cfg.n_max)
+    ds = SpectrumDataset(model_id=cfg.model_id, L=cfg.L, filling=spec.filling,
+                         bipartition=cfg.L // 2, chi_max=cfg.chi_max,
+                         svd_cutoff=cfg.svd_cutoff, seed=cfg.seed)
     if os.path.exists(path):
-        ds = read_dataset(path)
-        # every header field a sweep sets: records solved with another
-        # cutoff or seed would be misdescribed by the header
-        for key, want in (
-            ("model_id", cfg.model_id),
-            ("L", cfg.L),
-            ("chi_max", cfg.chi_max),
-            ("svd_cutoff", cfg.svd_cutoff),
-            ("seed", cfg.seed),
-        ):
-            have = getattr(ds, key)
+        # records solved with other settings would be misdescribed by the
+        # header; given the file's records, the record counts agree
+        held = read_dataset(path)
+        ds.records = held.records
+        for name in _HEADER_FIELDS:
+            have, want = getattr(held, name), getattr(ds, name)
             if have != want:
-                raise ConfigError(
-                    f"{path} holds {key}={have!r}, sweep wants {want!r}"
-                )
-    else:
-        spec = build_model(cfg.model_id, cfg.L, cfg.control_min, n_max=cfg.n_max)
-        ds = SpectrumDataset(
-            model_id=cfg.model_id,
-            L=cfg.L,
-            filling=spec.filling,
-            bipartition=cfg.L // 2,
-            chi_max=cfg.chi_max,
-            svd_cutoff=cfg.svd_cutoff,
-            seed=cfg.seed,
-        )
+                raise ConfigError(f"{path} holds {name}={have!r}, sweep wants {want!r}")
     have = {r.control_value for r in ds.records}
     grid = [float(c) for c in cfg.grid()]
     n_todo = sum(c not in have for c in grid)

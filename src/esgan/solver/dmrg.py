@@ -66,8 +66,9 @@ two otherwise.
 
 The final energy needs no extra pass over the chain.  A search ends after
 a left half-sweep, whose last update leaves sites 1..L-1 right-isometric
-and their right environment built, so <H> is site 0 contracted against
-that environment, divided by the squared norm of site 0 (standard DMRG
+and the right environment of sites 2..L-1 built, so <H> is that
+environment grown past site 1 and contracted against site 0, divided by
+the squared norm of site 0 (standard DMRG
 practice, Schollwoeck 2011); it agrees with the full-chain
 expectation_value to rounding.
 """
@@ -575,7 +576,7 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     ER = [None] * (L + 1)
     EL[0] = np.ones((1, 1, 1))
     ER[L] = np.ones((1, 1, 1))
-    for j in range(L - 1, 0, -1):
+    for j in range(L - 1, 1, -1):
         ER[j] = _contract_right(ER[j + 1], psi.site_tensors[j], mpo[j])
     n_matvec = n_dense = n_lanczos = n_restarts = 0
     sweep_energy_prev = None
@@ -624,12 +625,14 @@ def dmrg_ground_state(spec, config=None, psi0=None):
                     psi.site_tensors[i] = U3
                     psi.site_tensors[i + 1] = s[:, None, None] * Vt3
                     psi.canonical_center = i + 1
-                    EL[i + 1] = _contract_left(EL[i], U3, mpo[i])
+                    if i < L - 2:  # bond updates read EL[0..L-2] only
+                        EL[i + 1] = _contract_left(EL[i], U3, mpo[i])
                 else:
                     psi.site_tensors[i] = U3 * s[None, None, :]
                     psi.site_tensors[i + 1] = Vt3
                     psi.canonical_center = i
-                    ER[i + 1] = _contract_right(ER[i + 2], Vt3, mpo[i + 1])
+                    if i > 0:  # bond updates read ER[2..L], the final energy ER[1]
+                        ER[i + 1] = _contract_right(ER[i + 2], Vt3, mpo[i + 1])
             if direction == "right":
                 energy_right = energy
         psi.sweep_energies.append(float(energy))
@@ -658,7 +661,8 @@ def dmrg_ground_state(spec, config=None, psi0=None):
     psi.converged = converged
     psi.truncation_error = max_discard
     # <H> from the last half-sweep's environments: sites 1..L-1 are right
-    # isometries, so site 0 against ER[1] gives <psi|H|psi>
+    # isometries, so site 0 against ER[1], grown from ER[2], gives <psi|H|psi>
+    ER[1] = _contract_right(ER[2], psi.site_tensors[1], mpo[1])
     A = psi.site_tensors[0]
     psi.energy = float(_contract_right(ER[1], A, mpo[0])[0, 0, 0]) / A.ravel().dot(A.ravel())
     psi.stats = {

@@ -651,3 +651,24 @@ def test_solve_counts_split_bond_updates_by_path():
     stats = psi.stats
     assert stats["dense_solves"] + stats["lanczos_solves"] == stats["sweeps"] * 2 * 7
     assert stats["dense_solves"] > 0 and stats["lanczos_solves"] > 0
+
+
+def test_solve_grows_only_the_environments_it_reads(monkeypatch):
+    # bond updates read EL[0..L-2] and ER[2..L], the final energy ER[1]:
+    # each sweep grows L - 2 of each, the start ER[2..L-1], and the end
+    # ER[1] and the contraction with site 0
+    calls = {"left": 0, "right": 0}
+
+    def counted(side, contract):
+        def wrapper(*args):
+            calls[side] += 1
+            return contract(*args)
+        return wrapper
+
+    monkeypatch.setattr(dmrg, "_contract_left", counted("left", _contract_left))
+    monkeypatch.setattr(dmrg, "_contract_right", counted("right", _contract_right))
+    L = 8
+    psi = dmrg_ground_state(build_model("xxz", L, -0.5), DmrgConfig(seed=1))
+    sweeps = psi.stats["sweeps"]
+    assert psi.converged
+    assert calls == {"left": sweeps * (L - 2), "right": sweeps * (L - 2) + L}

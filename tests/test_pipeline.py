@@ -165,6 +165,7 @@ def _two_record_file(tmp_path):
         (None, {18: "control -0x1.0000000000000p+0"}, 19),  # controls descend
         (None, {10: "n_records -1"}, 11),
         (None, {14: "n_entries 0"}, 15),
+        (None, {2: "model_id foo"}, 3),  # a model no run writes
     ],
 )
 def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
@@ -182,8 +183,9 @@ def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
 
 def test_read_equals_make_labeled_spectrum(tmp_path):
     """Every record read equals the one make_labeled_spectrum builds from
-    its parsed values, on the demo datasets, the tests/.cache files present
-    and a 3-point sweep of each model."""
+    its parsed values, and writing what was read reproduces the file byte
+    for byte, on the demo datasets, the tests/.cache files present and a
+    3-point sweep of each model."""
     cache = os.path.join(os.path.dirname(__file__), ".cache")
     paths = sorted(glob.glob(os.path.join(DEMO, "*.ds")) + glob.glob(os.path.join(cache, "*.ds")))
     for model_id, L, lo, hi in (("xxz", 6, -1.0, 0.0), ("bh", 4, 1.0, 3.0),
@@ -201,6 +203,10 @@ def test_read_equals_make_labeled_spectrum(tmp_path):
                 model_id=ds.model_id, L=ds.L, bipartition=ds.bipartition, filling=ds.filling,
                 control_value=r.control_value, truncation_error=r.truncation_error,
             ), (path, r.control_value)
+        copy = str(tmp_path / "copy.ds")
+        write_dataset(copy, ds)
+        with open(path, "rb") as original, open(copy, "rb") as rewritten:
+            assert rewritten.read() == original.read(), path
 
 
 def test_curve_round_trip(tmp_path):
@@ -668,6 +674,8 @@ def test_sweep_config_validation():
                     count=5, step=0.1)
     with pytest.raises(ConfigError):
         SweepConfig(model_id="nope", L=6, control_min=-1.0, control_max=0.0, count=5)
+    with pytest.raises(ConfigError, match="'foo'"):
+        pipeline.default_sweep("foo", 8)
     # two warm-up sweeps and no full-size sweep: no convergence test
     with pytest.raises(ConfigError, match="can never converge"):
         SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0,
