@@ -21,6 +21,7 @@ import sys
 
 from . import pipeline
 from .gan import ConfigError, TrainConfig
+from .models import MODELS
 from .pipeline import ConvergenceError, SolverError, SweepConfig
 
 
@@ -32,7 +33,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sweep a model over a control grid")
-    p.add_argument("model", choices=sorted(pipeline.DEFAULT_GRIDS))
+    p.add_argument("model", choices=sorted(MODELS))
     p.add_argument("-L", "--length", type=int, required=True)
     p.add_argument("--min", type=float, dest="control_min")
     p.add_argument("--max", type=float, dest="control_max")

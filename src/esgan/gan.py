@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .models import ConfigError
+from .models import ConfigError, model_row
 from .neuralnet import (
     Autoencoder,
     DivergenceError,
@@ -32,12 +32,6 @@ from .spectra import FeatureVector, SectorSequence
 
 
 CLAMP = 1e-7
-
-DEFAULT_THRESHOLDS = {
-    "xxz": (5e-5, 1e-4),
-    "bh": (5e-3, 2e-2),
-    "bh2s": (5e-3, 5e-2),
-}
 
 
 @dataclass(frozen=True)
@@ -67,10 +61,8 @@ class TrainConfig:
 
 
 def default_train_config(model_id, **overrides):
-    thr = DEFAULT_THRESHOLDS.get(model_id)
-    if thr is None:
-        raise ConfigError(f"no default thresholds for model {model_id!r}")
-    cfg = TrainConfig(threshold_train=thr[0], threshold_val=thr[1])
+    threshold_train, threshold_val = model_row(model_id).thresholds
+    cfg = TrainConfig(threshold_train=threshold_train, threshold_val=threshold_val)
     return replace(cfg, **overrides) if overrides else cfg
 
 

@@ -1,9 +1,14 @@
 """Hamiltonian definitions for three 1D lattice models with U(1) symmetry.
 
-Each builder returns a HamiltonianSpec: an open-boundary chain described by
-a list of one- and two-site terms over a fixed local basis, together with
-the conserved charges of that basis, the symmetry sector the ground-state
-search targets, and the filling fraction used to shift sector labels.
+A model is one builder plus one ``MODELS`` row.  The builder returns a
+HamiltonianSpec that states everything the solvers and spectra need: an
+open-boundary chain described by a list of one- and two-site terms over
+a fixed local basis, the matrix of every operator label the terms use,
+the conserved charges of that basis, the symmetry sector the
+ground-state search targets, the product state it starts from, the
+filling fraction used to shift sector labels and the control parameter
+of the phase diagram.  The row says how to build the model at a control
+value and what the pipeline and the detector default to for it.
 
 Models
 ------
@@ -18,7 +23,7 @@ real, and the chain is open at both ends.  Hopping terms are stored once
 with ``add_hc=True``; consumers expand the conjugate explicitly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +97,16 @@ class HamiltonianSpec:
         Charge per site, used to shift sector labels of a bipartition.
     params : dataclass
         The model parameter record the spec was built from.
+    control : float
+        Dimensionless control parameter of the phase diagram: the
+        anisotropy for xxz, U/J for bh, U_ab/U for bh2s.
+    product_state : tuple of int
+        Local basis index per site of the solvers' starting product
+        state, which lies in the target sector.
+    operators : dict
+        Label -> dense matrix of every on-site operator the terms name,
+        shared by every consumer, which must not modify them.  Left out
+        of comparisons and the repr.
     """
 
     model_id: str
@@ -103,6 +118,9 @@ class HamiltonianSpec:
     target_sector: tuple
     filling: tuple
     params: object
+    control: float
+    product_state: tuple
+    operators: dict = field(compare=False, repr=False)
 
     @property
     def n_charges(self):
@@ -115,35 +133,6 @@ class HamiltonianSpec:
         )
 
 
-def _operator_table(spec):
-    """Label -> dense matrix of every on-site operator of ``spec``'s model.
-
-    XXZ basis: index 0 = down, 1 = up.  Boson basis: index = occupation.
-    Two-species basis: index = n_a * (n_max + 1) + n_b, so a species-a
-    operator is kron(op, eye) and a species-b one kron(eye, op).
-    """
-    if spec.model_id == "xxz":
-        return {
-            "Sp": np.array([[0.0, 0.0], [1.0, 0.0]]),
-            "Sm": np.array([[0.0, 1.0], [0.0, 0.0]]),
-            "Sz": np.diag([-0.5, 0.5]),
-        }
-    if spec.model_id not in ("bh", "bh2s"):
-        return {}
-    dim = spec.params.n_max + 1
-    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    occ = np.diag(np.arange(dim, dtype=float))
-    eye = np.eye(dim)
-    single = {"b": b, "bdag": b.T.copy(), "n": occ, "nn1": occ.dot(occ - eye)}
-    if spec.model_id == "bh":
-        return single
-    table = {"n_a.n_b": np.kron(occ, occ)}
-    for label, op in single.items():
-        table[label + "_a"] = np.kron(op, eye)
-        table[label + "_b"] = np.kron(eye, op)
-    return table
-
-
 def _lookup(table, spec, label):
     if label not in table:
         raise KeyError(f"unknown operator {label!r} for model {spec.model_id!r}")
@@ -152,8 +141,8 @@ def _lookup(table, spec, label):
 
 def operator_matrix(spec, label):
     """Dense matrix of a labeled on-site operator in the model's local basis
-    (see :func:`_operator_table` for the basis order)."""
-    return _lookup(_operator_table(spec), spec, label)
+    (see the builders for the basis order)."""
+    return _lookup(spec.operators, spec, label)
 
 
 def expanded_terms(spec):
@@ -161,44 +150,18 @@ def expanded_terms(spec):
 
     Returns a list of (sites, matrices, coeff) with one dense matrix per
     site.  Conjugates of real operators are plain transposes, so a stored
-    hop b+_{j+1} b_j also contributes b_{j+1} b+_j.  Each label resolves
-    once per call: terms share their matrices, which callers must not
-    modify.
+    hop b+_{j+1} b_j also contributes b_{j+1} b+_j.  Terms share the
+    spec's matrices, and each transpose is made once per call; callers
+    must not modify any of them.
     """
-    table = _operator_table(spec)
-    transposed = {label: m.T.copy() for label, m in table.items()}
+    transposed = {label: m.T.copy() for label, m in spec.operators.items()}
     out = []
     for term in spec.terms:
-        mats = tuple(_lookup(table, spec, op) for op in term.ops)
+        mats = tuple(_lookup(spec.operators, spec, op) for op in term.ops)
         out.append((term.sites, mats, term.coeff))
         if term.add_hc:
             out.append((term.sites, tuple(transposed[op] for op in term.ops), term.coeff))
     return out
-
-
-def initial_product_configuration(spec):
-    """Local basis index per site for the solver's starting product state.
-
-    XXZ starts from the Neel pattern, bh from one boson per site, bh2s from
-    alternating single-species occupation.  Each pattern lies in the target
-    sector by construction.
-    """
-    L = spec.L
-    if spec.model_id == "xxz":
-        n_up = spec.target_sector[0]
-        occ = [0] * L
-        for i in range(0, L, 2):
-            if n_up == 0:
-                break
-            occ[i] = 1
-            n_up -= 1
-        return occ
-    if spec.model_id == "bh":
-        return [1] * L
-    if spec.model_id == "bh2s":
-        dim_b = spec.params.n_max + 1
-        return [dim_b if i % 2 == 0 else 1 for i in range(L)]
-    raise ValueError(f"unknown model {spec.model_id!r}")
 
 
 def _check_size(L):
@@ -211,7 +174,8 @@ def build_xxz(L, params=XxzParams()):
 
     The anisotropy ``params.delta`` multiplies the Sz Sz coupling inside
     the overall -J prefactor, so delta < -1 is the antiferromagnetic
-    regime and -1 < delta < 1 the critical line.
+    regime and -1 < delta < 1 the critical line.  Basis: index 0 = down,
+    1 = up; the solvers start from the Neel pattern.
     """
     _check_size(L)
     if params.j <= 0:
@@ -221,6 +185,7 @@ def build_xxz(L, params=XxzParams()):
         # (S+_{j+1} S-_j + h.c.) / 2 with the -J prefactor
         terms.append(Term((jbond, jbond + 1), ("Sm", "Sp"), -params.j / 2.0, add_hc=True))
         terms.append(Term((jbond, jbond + 1), ("Sz", "Sz"), -params.j * params.delta))
+    n_up = L // 2
     return HamiltonianSpec(
         model_id="xxz",
         L=L,
@@ -228,35 +193,54 @@ def build_xxz(L, params=XxzParams()):
         terms=tuple(terms),
         charge_names=("n_up",),
         charge_values=((0, 1),),
-        target_sector=(L // 2,),
+        target_sector=(n_up,),
         filling=(Fraction(1, 2),),
         params=params,
+        control=params.delta,
+        product_state=tuple(int(i % 2 == 0 and i < 2 * n_up) for i in range(L)),
+        operators={
+            "Sp": np.array([[0.0, 0.0], [1.0, 0.0]]),
+            "Sm": np.array([[0.0, 1.0], [0.0, 0.0]]),
+            "Sz": np.diag([-0.5, 0.5]),
+        },
     )
 
 
+def _boson_operators(n_max):
+    """b, b+, n and n(n-1) of one boson species; basis index = occupation."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    dim = n_max + 1
+    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    occ = np.diag(np.arange(dim, dtype=float))
+    return {"b": b, "bdag": b.T.copy(), "n": occ, "nn1": occ.dot(occ - np.eye(dim))}
+
+
 def build_bh(L, params=BhParams()):
-    """Bose-Hubbard chain at unit filling (N = L), occupation cutoff n_max."""
+    """Bose-Hubbard chain at unit filling (N = L), occupation cutoff n_max,
+    started from one boson per site."""
     _check_size(L)
     if params.j <= 0:
         raise ValueError(f"coupling j must be positive, got {params.j}")
-    if params.n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {params.n_max}")
+    operators = _boson_operators(params.n_max)
     terms = []
     for jbond in range(L - 1):
         terms.append(Term((jbond, jbond + 1), ("b", "bdag"), -params.j, add_hc=True))
     for site in range(L):
         terms.append(Term((site,), ("nn1",), params.u / 2.0))
-    occs = tuple(range(params.n_max + 1))
     return HamiltonianSpec(
         model_id="bh",
         L=L,
         local_dim=params.n_max + 1,
         terms=tuple(terms),
         charge_names=("n",),
-        charge_values=(occs,),
+        charge_values=(tuple(range(params.n_max + 1)),),
         target_sector=(L,),
         filling=(Fraction(1, 1),),
         params=params,
+        control=params.u / params.j,
+        product_state=(1,) * L,
+        operators=operators,
     )
 
 
@@ -264,13 +248,15 @@ def build_bh2s(L, params=Bh2sParams()):
     """Two-species Bose-Hubbard chain at half filling per species.
 
     Both species share the lattice; each carries its own conserved number.
-    Requires even L so the (L/2, L/2) sector exists.
+    Requires even L so the (L/2, L/2) sector exists.  Basis: index =
+    n_a * (n_max + 1) + n_b, so a species-a operator is kron(op, eye) and
+    a species-b one kron(eye, op); the solvers start from one boson per
+    site, of species a on even sites and of species b on odd ones.
     """
     _check_size(L)
     if L % 2 != 0:
         raise ValueError(f"two-species chain needs even L, got {L}")
-    if params.n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {params.n_max}")
+    single = _boson_operators(params.n_max)
     if params.t <= 0:
         raise ValueError(f"hopping t must be positive, got {params.t}")
     u_ab_abs = params.u_ab * params.u
@@ -283,44 +269,71 @@ def build_bh2s(L, params=Bh2sParams()):
         terms.append(Term((site,), ("nn1_b",), params.u / 2.0))
         terms.append(Term((site,), ("n_a.n_b",), u_ab_abs))
     dim_b = params.n_max + 1
-    n_a_vals = tuple(idx // dim_b for idx in range(dim_b * dim_b))
-    n_b_vals = tuple(idx % dim_b for idx in range(dim_b * dim_b))
+    eye = np.eye(dim_b)
+    operators = {"n_a.n_b": np.kron(single["n"], single["n"])}
+    for label, op in single.items():
+        operators[label + "_a"] = np.kron(op, eye)
+        operators[label + "_b"] = np.kron(eye, op)
     return HamiltonianSpec(
         model_id="bh2s",
         L=L,
         local_dim=dim_b * dim_b,
         terms=tuple(terms),
         charge_names=("n_a", "n_b"),
-        charge_values=(n_a_vals, n_b_vals),
+        charge_values=(tuple(idx // dim_b for idx in range(dim_b * dim_b)),
+                       tuple(idx % dim_b for idx in range(dim_b * dim_b))),
         target_sector=(L // 2, L // 2),
         filling=(Fraction(1, 2), Fraction(1, 2)),
         params=params,
+        control=params.u_ab,
+        product_state=tuple(dim_b if i % 2 == 0 else 1 for i in range(L)),
+        operators=operators,
     )
 
 
-def control_value(spec):
-    """Dimensionless control parameter of the phase diagram: the anisotropy
-    for xxz, U/J for bh, U_ab/U for bh2s."""
-    if spec.model_id == "xxz":
-        return spec.params.delta
-    if spec.model_id == "bh":
-        return spec.params.u / spec.params.j
-    if spec.model_id == "bh2s":
-        return spec.params.u_ab
-    raise ValueError(f"unknown model {spec.model_id!r}")
+@dataclass(frozen=True)
+class Model:
+    """One row of MODELS.
+
+    ``spec(L, control)`` builds the model at a control value, with the
+    parameter record's defaults for the rest (J = t = 1, U = 10 for the
+    two-species chain); ``takes_n_max`` rows also take ``n_max=``.
+    ``grid`` is (min, max, step) of the default sweep, ``gapped_side``
+    the side of a training window ("left" or "right") the gapped phase
+    lies on, and ``thresholds`` the detector's default (train, val)
+    thresholds.
+    """
+
+    spec: object
+    takes_n_max: bool
+    grid: tuple
+    gapped_side: str
+    thresholds: tuple
+
+
+MODELS = {
+    "xxz": Model(lambda L, control: build_xxz(L, XxzParams(delta=control)),
+                 False, (-1.5, 0.0, 0.01), "left", (5e-5, 1e-4)),
+    "bh": Model(lambda L, control, **kw: build_bh(L, BhParams(u=control, **kw)),
+                True, (0.0, 6.0, 0.02), "right", (5e-3, 2e-2)),
+    "bh2s": Model(lambda L, control, **kw: build_bh2s(L, Bh2sParams(u_ab=control, **kw)),
+                  True, (-0.4, 0.0, 0.005), "left", (5e-3, 5e-2)),
+}
+
+
+def model_row(model_id):
+    """The MODELS row of ``model_id``; ConfigError for any other id."""
+    if model_id not in MODELS:
+        raise ConfigError(f"unknown model {model_id!r}")
+    return MODELS[model_id]
 
 
 def build_model(model_id, L, control, n_max=None):
-    """Spec for a model at one point of its phase diagram.
-
-    The control parameter sets delta for xxz, U for bh and U_ab for bh2s;
-    everything else stays at the builder defaults (J = t = 1, U = 10 for
-    the two-species chain).
-    """
-    if model_id == "xxz":
-        return build_xxz(L, XxzParams(delta=control))
-    if model_id == "bh":
-        return build_bh(L, BhParams(u=control, n_max=4 if n_max is None else n_max))
-    if model_id == "bh2s":
-        return build_bh2s(L, Bh2sParams(u_ab=control, n_max=2 if n_max is None else n_max))
-    raise ValueError(f"unknown model {model_id!r}")
+    """Spec for a model at one point of its phase diagram; ``n_max``, for
+    the boson models only, replaces the parameter record's cutoff."""
+    model = model_row(model_id)
+    if n_max is None:
+        return model.spec(L, control)
+    if not model.takes_n_max:
+        raise ConfigError(f"model {model_id!r} takes no n_max, got {n_max}")
+    return model.spec(L, control, n_max=n_max)

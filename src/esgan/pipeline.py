@@ -32,7 +32,7 @@ import numpy as np
 
 from . import gan
 from .gan import ConfigError, default_train_config
-from .models import build_model
+from .models import MODELS, build_model, model_row
 from .neuralnet import write_atomic
 from .solver import DmrgConfig, dmrg_ground_state, schmidt_decompose
 from .spectra import (
@@ -55,17 +55,6 @@ class SolverError(RuntimeError):
 
 
 N_FEAT = 64
-
-DEFAULT_GRIDS = {
-    "xxz": (-1.5, 0.0, 0.01),
-    "bh": (0.0, 6.0, 0.02),
-    "bh2s": (-0.4, 0.0, 0.005),
-}
-
-# side of the training window on which stability_cmd places validation
-# bands: the gapped phase lies left of the window for xxz/bh2s, right
-# of it for bh
-VAL_SIDE = {"xxz": "left", "bh": "right", "bh2s": "left"}
 
 
 def data_dir():
@@ -104,8 +93,6 @@ class SweepConfig:
     out_path: str = None
 
     def __post_init__(self):
-        if self.model_id not in DEFAULT_GRIDS:
-            raise ConfigError(f"unknown model {self.model_id!r}")
         if not self.control_min < self.control_max:
             raise ConfigError("need control_min < control_max")
         if (self.step is None) == (self.count is None):
@@ -115,7 +102,7 @@ class SweepConfig:
         if self.step is not None and self.step <= 0:
             raise ConfigError("step must be positive")
         self.dmrg_config()  # raises ConfigError on settings the solver rejects
-        try:  # and on a chain that no model accepts
+        try:  # and on a model, chain or n_max that build_model refuses
             build_model(self.model_id, self.L, self.control_min, n_max=self.n_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -138,9 +125,7 @@ class SweepConfig:
 
 
 def default_sweep(model_id, L, **overrides):
-    if model_id not in DEFAULT_GRIDS:
-        raise ConfigError(f"unknown model {model_id!r}")
-    lo, hi, step = DEFAULT_GRIDS[model_id]
+    lo, hi, step = model_row(model_id).grid
     kw = dict(model_id=model_id, L=L, control_min=lo, control_max=hi, step=step)
     kw.update(overrides)
     return SweepConfig(**kw)
@@ -199,17 +184,25 @@ def _parser(convert, valid=lambda value, head: True):
     return parse
 
 
+def _model_spec(model_id, L):
+    """Spec of ``model_id`` on L sites at the lower end of its default grid;
+    the builder's ValueError names an L that it refuses."""
+    return build_model(model_id, L, model_row(model_id).grid[0])
+
+
 # The dataset header, one row per line in file order: name -> (parser,
 # printer).  write_dataset prints ``<name> <printer(ds.<name>)>``;
 # read_dataset calls the parser on the rest of the line, and it refuses
-# what no run writes (DmrgConfig refuses a chi_max or cutoff no run takes).
+# what no run writes (the model's builder refuses an L and gives the
+# filling, DmrgConfig refuses a chi_max or cutoff no run takes).
 _HEADER_FIELDS = {
     "format_version": (_parser(int, lambda v, head: v == SpectrumDataset.format_version), str),
-    "model_id": (_parser(str, lambda v, head: v in DEFAULT_GRIDS), str),
-    "L": (_parser(int, lambda v, head: v >= 2), str),
-    "filling": (_parser(lambda text: tuple(Fraction(tok) for tok in text.split())),
+    "model_id": (_parser(str, lambda v, head: v in MODELS), str),
+    "L": (_parser(int, lambda v, head: _model_spec(head.model_id, v).L == v), str),
+    "filling": (_parser(lambda text: tuple(Fraction(tok) for tok in text.split()),
+                        lambda v, head: v == _model_spec(head.model_id, head.L).filling),
                 lambda filling: " ".join(f"{f.numerator}/{f.denominator}" for f in filling)),
-    "bipartition": (_parser(int, lambda v, head: 1 <= v < head.L), str),
+    "bipartition": (_parser(int, lambda v, head: v == head.L // 2), str),
     "chi_max": (_parser(lambda text: DmrgConfig(chi_max=int(text)).chi_max), str),
     "svd_cutoff": (_parser(lambda text: DmrgConfig(svd_cutoff=float.fromhex(text)).svd_cutoff),
                    lambda cutoff: float(cutoff).hex()),
@@ -696,10 +689,11 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None, log=None,
     each, and write all score columns into a single CSV.  ``cfg`` and
     ``overrides`` act as in train_cmd.
 
-    Validation bands are placed adjacent to each window on the side away
-    from the transition (left for xxz/bh2s, right for bh), 20% of the
-    window width.  Each window trains with a fresh seed offset.  A window
-    whose training raises is noted in the header and its column is NaN.
+    Validation bands are placed adjacent to each window on the side of
+    the gapped phase (the model's ``gapped_side`` in ``models.MODELS``),
+    20% of the window width.  Each window trains with a fresh seed
+    offset.  A window whose training raises is noted in the header and
+    its column is NaN.
 
     The windows are independent of each other, so they train in the
     forked workers ``generate`` solves its chunks in (``_fanned_out``),
@@ -728,9 +722,10 @@ def stability_cmd(dataset_path, windows, cfg=None, out_path=None, log=None,
         return {r["control_value"]: r["anomaly_score"] for r in rows}, det.converged
 
     jobs = []
+    left = model_row(ds.model_id).gapped_side == "left"
     for i, (lo, hi) in enumerate(windows):
         width = 0.2 * (hi - lo)
-        val = (lo - width, lo) if VAL_SIDE[ds.model_id] == "left" else (hi, hi + width)
+        val = (lo - width, lo) if left else (hi, hi + width)
         jobs.append((i, (lo, hi), val))
     columns = {}
     notes = {}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..models import expanded_terms, initial_product_configuration
+from ..models import expanded_terms
 from .lanczos import lowest_eigenpair
 
 DENSE_DIM_CAP = 4000
@@ -145,8 +145,7 @@ def ed_ground_state(spec):
         H = build_sector_hamiltonian(spec, basis)
         rng = np.random.default_rng(ED_SEED)
         v0 = rng.standard_normal(n)
-        occ = initial_product_configuration(spec)
-        ref = np.where(np.all(basis == np.array(occ, dtype=np.int8), axis=1))[0]
+        ref = np.where(np.all(basis == np.array(spec.product_state, dtype=np.int8), axis=1))[0]
         if ref.size:
             v0[ref[0]] += 10.0 * np.linalg.norm(v0) / np.sqrt(n)
         energy, amp, info = lowest_eigenpair(

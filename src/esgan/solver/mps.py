@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..models import initial_product_configuration
-
 
 # one int64 per charge vector: linear, and ordered like the charge tuples
 _KEY_BASE = np.array([1 << 40, 1 << 20, 1], dtype=np.int64)
@@ -211,15 +209,13 @@ def copy_mps(mps):
 
 
 def product_mps(spec):
-    """Product state MPS of the model's initial configuration
-    (``models.initial_product_configuration``), in the target sector."""
-    occ = initial_product_configuration(spec)
+    """Product state MPS of ``spec.product_state``, in the target sector."""
     charges = spec.site_charge_array()
     d = spec.local_dim
     tensors = []
     bond_charges = [np.zeros((1, spec.n_charges), dtype=np.int64)]
     running = np.zeros(spec.n_charges, dtype=np.int64)
-    for s in occ:
+    for s in spec.product_state:
         T = np.zeros((1, d, 1))
         T[0, s, 0] = 1.0
         tensors.append(T)

@@ -11,7 +11,6 @@ SVD gives the levels.
 
 import numpy as np
 
-from ..models import control_value
 from ..spectra import make_labeled_spectrum
 from .ed import StateVector
 from .mps import ChargeBlocks, MPSState, schmidt_values
@@ -57,5 +56,5 @@ def schmidt_decompose(state):
         L=spec.L,
         bipartition=bond,
         filling=spec.filling,
-        control_value=control_value(spec),
+        control_value=spec.control,
     )

@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from esgan import models
+from esgan import cli
+from esgan.gan import default_train_config
 from esgan.models import (
+    MODELS,
     Bh2sParams,
     BhParams,
+    ConfigError,
     Term,
     XxzParams,
     build_bh,
@@ -14,7 +17,6 @@ from esgan.models import (
     build_model,
     build_xxz,
     expanded_terms,
-    initial_product_configuration,
     operator_matrix,
 )
 from esgan.solver import dmrg, ed
@@ -188,9 +190,8 @@ def test_initial_configurations_hit_target_sector():
         build_bh(5, BhParams(n_max=3)),
         build_bh2s(6),
     ):
-        occ = initial_product_configuration(spec)
         charges = spec.site_charge_array()
-        total = charges[occ].sum(axis=0)
+        total = charges[list(spec.product_state)].sum(axis=0)
         assert tuple(int(t) for t in total) == spec.target_sector
 
 
@@ -225,26 +226,41 @@ def test_unknown_operator_label_names_label_and_model(model_id, label):
         expanded_terms(bad)
 
 
-def test_expanded_terms_builds_one_operator_table(monkeypatch):
-    calls = {"table": 0, "operator_matrix": 0}
-    table, single = models._operator_table, models.operator_matrix
-
-    def counting_table(spec):
-        calls["table"] += 1
-        return table(spec)
-
-    def counting_single(spec, label):
-        calls["operator_matrix"] += 1
-        return single(spec, label)
-
-    monkeypatch.setattr(models, "_operator_table", counting_table)
-    monkeypatch.setattr(models, "operator_matrix", counting_single)
+def test_expanded_terms_hands_out_the_specs_own_matrices():
     spec = build_xxz(8, XxzParams(delta=-0.5))
     terms = expanded_terms(spec)
-    assert calls == {"table": 1, "operator_matrix": 0}
     # Sp, Sm, Sz and the transposes of the two hopping factors
     assert len(terms) == 21
     assert len({id(m) for _, mats, _ in terms for m in mats}) == 5
+    stored = iter(terms)
+    for term in spec.terms:
+        _, mats, _ = next(stored)
+        assert all(m is spec.operators[op] for m, op in zip(mats, term.ops))
+        if term.add_hc:
+            _, mats, _ = next(stored)
+            assert [m.tobytes() for m in mats] == [
+                spec.operators[op].T.tobytes() for op in term.ops
+            ]
+
+
+def test_models_table_describes_every_model():
+    for model_id, model in MODELS.items():
+        lo, hi, _ = model.grid
+        for control in (lo, hi):
+            spec = build_model(model_id, 4, control)
+            assert spec.model_id == model_id
+            assert float(spec.control).hex() == float(control).hex()
+        if not model.takes_n_max:
+            with pytest.raises(ConfigError, match=f"model '{model_id}' takes no n_max"):
+                build_model(model_id, 4, lo, n_max=3)
+        cfg = default_train_config(model_id)
+        assert (cfg.threshold_train, cfg.threshold_val) == model.thresholds
+    for lookup in (lambda: build_model("foo", 4, 0.0), lambda: default_train_config("foo")):
+        with pytest.raises(ConfigError, match="unknown model 'foo'"):
+            lookup()
+    generate = cli.build_parser().commands["generate"]
+    choices = next(a.choices for a in generate._actions if a.dest == "model")
+    assert choices == sorted(MODELS)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ import pytest
 
 from esgan import cli, pipeline
 from esgan.gan import ConfigError, default_train_config
-from esgan.models import build_model, control_value
+from esgan.models import build_model
 from esgan.pipeline import (
     CHUNK,
     ConvergenceError,
@@ -166,6 +166,9 @@ def _two_record_file(tmp_path):
         (None, {10: "n_records -1"}, 11),
         (None, {14: "n_entries 0"}, 15),
         (None, {2: "model_id foo"}, 3),  # a model no run writes
+        (None, {2: "model_id bh2s", 3: "L 5"}, 4),  # a chain the model's builder refuses
+        (None, {4: "filling 1/1"}, 5),  # a filling other than the model's
+        (None, {5: "bipartition 3"}, 6),  # a cut other than L // 2
     ],
 )
 def test_read_rejects_truncated_and_garbled_files(tmp_path, cut, edit, line):
@@ -403,7 +406,7 @@ def test_failing_point_is_logged_and_skipped_in_any_worker(tmp_path, monkeypatch
     solve = pipeline.dmrg_ground_state
 
     def failing(spec, *args, **kwargs):
-        if control_value(spec) == bad:
+        if spec.control == bad:
             raise RuntimeError("no ground state")
         return solve(spec, *args, **kwargs)
 
@@ -431,7 +434,7 @@ def test_killed_worker_raises_instead_of_hanging(tmp_path, monkeypatch):
     solve = pipeline.dmrg_ground_state
 
     def killed(spec, *args, **kwargs):
-        if control_value(spec) == doomed and os.getpid() != parent:
+        if spec.control == doomed and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return solve(spec, *args, **kwargs)
 
@@ -676,6 +679,9 @@ def test_sweep_config_validation():
         SweepConfig(model_id="nope", L=6, control_min=-1.0, control_max=0.0, count=5)
     with pytest.raises(ConfigError, match="'foo'"):
         pipeline.default_sweep("foo", 8)
+    with pytest.raises(ConfigError, match="model 'xxz' takes no n_max"):
+        SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0,
+                    count=5, n_max=3)
     # two warm-up sweeps and no full-size sweep: no convergence test
     with pytest.raises(ConfigError, match="can never converge"):
         SweepConfig(model_id="xxz", L=6, control_min=-1.0, control_max=0.0,
@@ -766,7 +772,7 @@ def test_scan_cmd_rejects_model_mismatch(tmp_path, monkeypatch):
         out_path=str(tmp_path / "det.ckpt"),
     )
     other = read_dataset(path)
-    other.model_id = "bh"
+    other.model_id, other.filling = "bh", (Fraction(1, 1),)  # a header a bh run writes
     from esgan.pipeline import write_dataset
 
     bad = str(tmp_path / "bad.ds")
@@ -1105,8 +1111,9 @@ def test_cli_flag_wins_over_config_file_in_any_spelling(
         ["bh2s", "-L", "5"],
         ["xxz", "-L", "4", "--chi-max", "0"],
         ["xxz", "-L", "4", "--svd-cutoff=-1e-10"],
+        ["xxz", "-L", "6", "--min", "-1", "--max", "-0.5", "--n-max", "3"],
     ],
-    ids=["xxz-L1", "bh-n-max-1", "bh2s-odd-L", "chi-max-0", "negative-cutoff"],
+    ids=["xxz-L1", "bh-n-max-1", "bh2s-odd-L", "chi-max-0", "negative-cutoff", "xxz-n-max"],
 )
 def test_cli_rejects_settings_that_no_run_can_use(tmp_path, monkeypatch, flags):
     monkeypatch.setenv("ESGAN_DATA_DIR", str(tmp_path))
